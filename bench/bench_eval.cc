@@ -481,10 +481,10 @@ BENCHMARK(BM_DeciderTcPathsCheckerReuse)
 
 // --- word-parallel bitset substrate (PR 6) -----------------------------
 //
-// The decider's achieved sets and the automata containment frontiers now
-// run on Bitset/AntichainStore kernels; Arg(1) selects the substrate —
-// 1 = bitsets (default), 0 = the Bloom-signature + sorted-vector path
-// they replaced (the ablation arm).
+// The decider's achieved sets and the automata containment frontiers
+// run on Bitset/AntichainStore kernels. For the decider, Arg(1) selects
+// the substrate — 1 = bitsets (default), 0 = the Bloom-signature +
+// sorted-vector path they replaced (the ablation arm).
 
 // Deep nonlinear recursion drives many achieved sets per goal, so the
 // antichain's subset testing dominates; the word-parallel kernels and
@@ -525,10 +525,8 @@ BENCHMARK(BM_DeciderAchievedAntichain)
 // Self-containment of a dense random NFA: subset frontiers span a large
 // fraction of the state space, so successor-set construction (unions)
 // and the per-dequeue visited-store subset tests dominate — the
-// workload the word-parallel kernels target. Both arms explore the
-// identical (state, subset) sequence (the differential suite pins
-// this), so the time ratio isolates the representation. Arg(0) = number
-// of states; Arg(2) = antichain pruning (0 = exact-store ablation arm).
+// workload the word-parallel kernels target. Arg(0) = number of states;
+// Arg(1) = antichain pruning (0 = exact visited store).
 void BM_NfaContainmentBitset(benchmark::State& state) {
   const int states = static_cast<int>(state.range(0));
   std::mt19937_64 rng(7);
@@ -543,8 +541,7 @@ void BM_NfaContainmentBitset(benchmark::State& state) {
     }
   }
   Nfa::ContainmentOptions options;
-  options.use_bitsets = state.range(1) != 0;
-  options.antichain = state.range(2) != 0;
+  options.antichain = state.range(1) != 0;
   std::size_t explored = 0;
   for (auto _ : state) {
     StatusOr<Nfa::ContainmentResult> result =
@@ -557,12 +554,58 @@ void BM_NfaContainmentBitset(benchmark::State& state) {
   state.counters["explored"] = static_cast<double>(explored);
 }
 BENCHMARK(BM_NfaContainmentBitset)
-    ->Args({64, 1, 1})
-    ->Args({64, 0, 1})
-    ->Args({128, 1, 1})
-    ->Args({128, 0, 1})
-    ->Args({64, 1, 0})
-    ->Args({64, 0, 0})
+    ->Args({64, 1})
+    ->Args({128, 1})
+    ->Args({64, 0})
+    ->Unit(benchmark::kMicrosecond);
+
+// The shape the linear arm of the corpus pipeline hands to Nfa::Contains:
+// a ptrees-like automaton over a wide rule-instance alphabet (every
+// symbol is one edge, head atom -> child atom or the accept state),
+// checked against the union of several sparse theta-like copies of it.
+// Each state leaves on a few dozen of the Arg(0) symbols, so the cost
+// must follow the edges, not states × symbols. The last copy keeps
+// every edge, so the pair is contained and the BFS runs to exhaustion.
+void BM_NfaContainsWideAlphabet(benchmark::State& state) {
+  const int symbols = static_cast<int>(state.range(0));
+  constexpr int kAtoms = 96;
+  constexpr int kDisjuncts = 8;
+  std::mt19937_64 rng(11);
+  std::vector<int> head(symbols);
+  std::vector<int> child(symbols);  // 0 = the accept state
+  for (int sym = 0; sym < symbols; ++sym) {
+    head[sym] = 1 + static_cast<int>(rng() % kAtoms);
+    child[sym] = sym % 16 == 0 ? 0 : 1 + static_cast<int>(rng() % kAtoms);
+  }
+  auto copy = [&](bool keep_all) {
+    Nfa nfa(kAtoms + 1, symbols);
+    nfa.SetAccepting(0);
+    nfa.SetInitial(1);
+    for (int sym = 0; sym < symbols; ++sym) {
+      if (keep_all || rng() % 4 != 0) {
+        nfa.AddTransition(head[sym], sym, child[sym]);
+      }
+    }
+    return nfa;
+  };
+  const Nfa ptrees = copy(true);
+  Nfa theta = copy(false);
+  for (int d = 1; d < kDisjuncts; ++d) {
+    theta = Nfa::Union(theta, copy(d == kDisjuncts - 1));
+  }
+  std::size_t explored = 0;
+  for (auto _ : state) {
+    StatusOr<Nfa::ContainmentResult> result = Nfa::Contains(ptrees, theta);
+    DATALOG_CHECK(result.ok());
+    DATALOG_CHECK(result->contained);
+    explored = result->explored;
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["explored"] = static_cast<double>(explored);
+  state.counters["theta_states"] = static_cast<double>(theta.num_states());
+}
+BENCHMARK(BM_NfaContainsWideAlphabet)
+    ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 // --- explicit automata constructions (PR 4 ports) ----------------------

@@ -3,54 +3,120 @@
 #include <algorithm>
 #include <deque>
 #include <map>
-#include <queue>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/util/bitset.h"
-#include "src/util/hash.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
 
 namespace datalog {
 namespace {
 
-// Sorted-vector subset representation, kept for the use_bitsets=false
-// ablation arm of Contains (the word-parallel paths run on Bitset).
-using StateSet = std::vector<int>;
+using EdgeIt = std::vector<Nfa::Edge>::const_iterator;
 
-StateSet SortedUnique(StateSet set) {
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
+// Orders edges against a symbol, for searches in symbol-sorted lists.
+struct BySymbol {
+  bool operator()(const Nfa::Edge& e, int symbol) const {
+    return e.symbol < symbol;
+  }
+  bool operator()(int symbol, const Nfa::Edge& e) const {
+    return symbol < e.symbol;
+  }
+};
+
+// The edges of a symbol-sorted list that read `symbol`.
+std::pair<EdgeIt, EdgeIt> SymbolRange(const std::vector<Nfa::Edge>& edges,
+                                      int symbol) {
+  return std::equal_range(edges.begin(), edges.end(), symbol, BySymbol());
 }
 
-bool IsSubsetOf(const StateSet& a, const StateSet& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
+// Calls fn(symbol, first, last) for each run of equal-symbol edges of a
+// symbol-sorted list, in ascending symbol order.
+template <typename Fn>
+void ForEachSymbolRun(const std::vector<Nfa::Edge>& edges, Fn fn) {
+  for (auto first = edges.begin(); first != edges.end();) {
+    auto last =
+        std::upper_bound(first, edges.end(), first->symbol, BySymbol());
+    fn(first->symbol, first, last);
+    first = last;
+  }
 }
+
+// Sets in `next` every target of an edge of `nfa` on `symbol` whose source
+// is in `from`.
+void StepSubset(const Nfa& nfa, const Bitset& from, int symbol, Bitset& next) {
+  from.ForEachSetBit([&](std::size_t s) {
+    auto [first, last] = SymbolRange(nfa.Edges(static_cast<int>(s)), symbol);
+    for (; first != last; ++first) {
+      next.Set(static_cast<std::size_t>(first->target));
+    }
+  });
+}
+
+// An automaton's transitions bucketed by symbol (CSR): the (source,
+// target) pairs that read symbol s are pairs[offsets[s], offsets[s+1]).
+// A subset's successor on s is then one pass over those pairs, however
+// many states the subset holds.
+class SymbolIndex {
+ public:
+  explicit SymbolIndex(const Nfa& nfa) : offsets_(nfa.num_symbols() + 1, 0) {
+    for (std::size_t s = 0; s < nfa.num_states(); ++s) {
+      for (const Nfa::Edge& e : nfa.Edges(static_cast<int>(s))) {
+        ++offsets_[e.symbol + 1];
+      }
+    }
+    for (std::size_t sym = 0; sym < nfa.num_symbols(); ++sym) {
+      offsets_[sym + 1] += offsets_[sym];
+    }
+    pairs_.resize(offsets_.back());
+    std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
+    for (std::size_t s = 0; s < nfa.num_states(); ++s) {
+      for (const Nfa::Edge& e : nfa.Edges(static_cast<int>(s))) {
+        pairs_[fill[e.symbol]++] = {static_cast<int>(s), e.target};
+      }
+    }
+  }
+
+  // Sets in `next` every target of an edge on `symbol` whose source is in
+  // `from`.
+  void Successors(const Bitset& from, int symbol, Bitset& next) const {
+    for (std::size_t i = offsets_[symbol]; i < offsets_[symbol + 1]; ++i) {
+      if (from.Test(static_cast<std::size_t>(pairs_[i].first))) {
+        next.Set(static_cast<std::size_t>(pairs_[i].second));
+      }
+    }
+  }
+
+ private:
+  std::vector<std::size_t> offsets_;
+  std::vector<std::pair<int, int>> pairs_;
+};
 
 }  // namespace
 
 Nfa::Nfa(std::size_t num_states, std::size_t num_symbols)
-    : num_states_(num_states),
-      num_symbols_(num_symbols),
+    : num_symbols_(num_symbols),
       initial_(num_states, false),
       accepting_(num_states, false),
-      delta_(num_states, std::vector<std::vector<int>>(num_symbols)) {}
+      edges_(num_states) {}
 
 int Nfa::AddState() {
   initial_.push_back(false);
   accepting_.push_back(false);
-  delta_.emplace_back(num_symbols_);
-  return static_cast<int>(num_states_++);
+  edges_.emplace_back();
+  return static_cast<int>(edges_.size() - 1);
 }
 
 void Nfa::AddTransition(int from, int symbol, int to) {
-  DATALOG_CHECK_LT(static_cast<std::size_t>(from), num_states_);
-  DATALOG_CHECK_LT(static_cast<std::size_t>(to), num_states_);
+  DATALOG_CHECK_LT(static_cast<std::size_t>(from), num_states());
+  DATALOG_CHECK_LT(static_cast<std::size_t>(to), num_states());
   DATALOG_CHECK_LT(static_cast<std::size_t>(symbol), num_symbols_);
-  delta_[from][symbol].push_back(to);
+  // After the last edge on `symbol`: an append when symbols arrive in
+  // ascending order, which is how every construction here adds them.
+  std::vector<Edge>& edges = edges_[from];
+  edges.insert(
+      std::upper_bound(edges.begin(), edges.end(), symbol, BySymbol()),
+      Edge{symbol, to});
 }
 
 void Nfa::SetInitial(int state, bool initial) { initial_[state] = initial; }
@@ -60,27 +126,23 @@ void Nfa::SetAccepting(int state, bool accepting) {
 
 std::size_t Nfa::NumTransitions() const {
   std::size_t total = 0;
-  for (const auto& per_state : delta_) {
-    for (const auto& successors : per_state) total += successors.size();
-  }
+  for (const auto& edges : edges_) total += edges.size();
   return total;
 }
 
 bool Nfa::Accepts(const std::vector<int>& word) const {
   // Word-parallel frontier: one Bitset over the state universe, advanced
   // symbol by symbol.
-  Bitset current(num_states_);
-  Bitset accepting(num_states_);
-  for (std::size_t s = 0; s < num_states_; ++s) {
+  Bitset current(num_states());
+  Bitset accepting(num_states());
+  for (std::size_t s = 0; s < num_states(); ++s) {
     if (initial_[s]) current.Set(s);
     if (accepting_[s]) accepting.Set(s);
   }
-  Bitset next(num_states_);
+  Bitset next(num_states());
   for (int symbol : word) {
     next.Clear();
-    current.ForEachSetBit([&](std::size_t s) {
-      for (int t : delta_[s][symbol]) next.Set(static_cast<std::size_t>(t));
-    });
+    StepSubset(*this, current, symbol, next);
     std::swap(current, next);
     if (current.None()) return false;
   }
@@ -92,32 +154,30 @@ bool Nfa::IsEmpty() const { return !ShortestWord().has_value(); }
 std::optional<std::vector<int>> Nfa::ShortestWord() const {
   // BFS from initial states; remember the (symbol, predecessor) that first
   // reached each state.
-  std::vector<int> pred_state(num_states_, -1);
-  std::vector<int> pred_symbol(num_states_, -1);
-  std::vector<bool> seen(num_states_, false);
+  std::vector<int> pred_state(num_states(), -1);
+  std::vector<int> pred_symbol(num_states(), -1);
+  std::vector<bool> seen(num_states(), false);
   std::deque<int> queue;
-  for (std::size_t s = 0; s < num_states_; ++s) {
+  for (std::size_t s = 0; s < num_states(); ++s) {
     if (initial_[s]) {
       seen[s] = true;
       queue.push_back(static_cast<int>(s));
     }
   }
   int goal = -1;
-  while (!queue.empty() && goal == -1) {
+  while (!queue.empty()) {
     int s = queue.front();
     queue.pop_front();
     if (accepting_[s]) {
       goal = s;
       break;
     }
-    for (std::size_t a = 0; a < num_symbols_; ++a) {
-      for (int t : delta_[s][a]) {
-        if (!seen[t]) {
-          seen[t] = true;
-          pred_state[t] = s;
-          pred_symbol[t] = static_cast<int>(a);
-          queue.push_back(t);
-        }
+    for (const Edge& e : edges_[s]) {
+      if (!seen[e.target]) {
+        seen[e.target] = true;
+        pred_state[e.target] = s;
+        pred_symbol[e.target] = e.symbol;
+        queue.push_back(e.target);
       }
     }
   }
@@ -132,21 +192,18 @@ std::optional<std::vector<int>> Nfa::ShortestWord() const {
 
 Nfa Nfa::Union(const Nfa& a, const Nfa& b) {
   DATALOG_CHECK_EQ(a.num_symbols_, b.num_symbols_);
-  Nfa result(a.num_states_ + b.num_states_, a.num_symbols_);
-  auto copy = [&result](const Nfa& source, std::size_t offset) {
-    for (std::size_t s = 0; s < source.num_states_; ++s) {
-      result.initial_[offset + s] = source.initial_[s];
-      result.accepting_[offset + s] = source.accepting_[s];
-      for (std::size_t sym = 0; sym < source.num_symbols_; ++sym) {
-        for (int t : source.delta_[s][sym]) {
-          result.delta_[offset + s][sym].push_back(static_cast<int>(offset) +
-                                                   t);
-        }
-      }
+  Nfa result(0, a.num_symbols_);
+  result.edges_.reserve(a.num_states() + b.num_states());
+  for (const Nfa* source : {&a, &b}) {
+    const int offset = static_cast<int>(result.num_states());
+    for (std::size_t s = 0; s < source->num_states(); ++s) {
+      result.initial_.push_back(source->initial_[s]);
+      result.accepting_.push_back(source->accepting_[s]);
+      std::vector<Edge> edges = source->edges_[s];
+      for (Edge& e : edges) e.target += offset;
+      result.edges_.push_back(std::move(edges));
     }
-  };
-  copy(a, 0);
-  copy(b, a.num_states_);
+  }
   return result;
 }
 
@@ -165,9 +222,9 @@ Nfa Nfa::Intersection(const Nfa& a, const Nfa& b) {
     }
     return it->second;
   };
-  for (std::size_t sa = 0; sa < a.num_states_; ++sa) {
+  for (std::size_t sa = 0; sa < a.num_states(); ++sa) {
     if (!a.initial_[sa]) continue;
-    for (std::size_t sb = 0; sb < b.num_states_; ++sb) {
+    for (std::size_t sb = 0; sb < b.num_states(); ++sb) {
       if (!b.initial_[sb]) continue;
       int id = intern(static_cast<int>(sa), static_cast<int>(sb));
       result.initial_[id] = true;
@@ -177,14 +234,18 @@ Nfa Nfa::Intersection(const Nfa& a, const Nfa& b) {
     auto [sa, sb] = queue.front();
     queue.pop_front();
     int from = ids.at({sa, sb});
-    for (std::size_t sym = 0; sym < a.num_symbols_; ++sym) {
-      for (int ta : a.delta_[sa][sym]) {
-        for (int tb : b.delta_[sb][sym]) {
-          int to = intern(ta, tb);
-          result.delta_[from][sym].push_back(to);
+    // Merge-join the two symbol-sorted edge lists; the product's edges come
+    // out in ascending symbol order.
+    const std::vector<Edge>& b_edges = b.edges_[sb];
+    ForEachSymbolRun(a.edges_[sa], [&](int symbol, EdgeIt first, EdgeIt last) {
+      auto [b_first, b_last] = SymbolRange(b_edges, symbol);
+      for (; first != last; ++first) {
+        for (auto tb = b_first; tb != b_last; ++tb) {
+          int to = intern(first->target, tb->target);
+          result.edges_[from].push_back({symbol, to});
         }
       }
-    }
+    });
   }
   return result;
 }
@@ -196,8 +257,8 @@ StatusOr<Nfa> Nfa::Determinize(std::size_t max_states) const {
   std::unordered_map<Bitset, int, BitsetHash> ids;
   std::deque<Bitset> queue;
   Nfa result(0, num_symbols_);
-  Bitset accepting(num_states_);
-  for (std::size_t s = 0; s < num_states_; ++s) {
+  Bitset accepting(num_states());
+  for (std::size_t s = 0; s < num_states(); ++s) {
     if (accepting_[s]) accepting.Set(s);
   }
   auto intern = [&](Bitset set) -> int {
@@ -209,8 +270,8 @@ StatusOr<Nfa> Nfa::Determinize(std::size_t max_states) const {
     }
     return it->second;
   };
-  Bitset start(num_states_);
-  for (std::size_t s = 0; s < num_states_; ++s) {
+  Bitset start(num_states());
+  for (std::size_t s = 0; s < num_states(); ++s) {
     if (initial_[s]) start.Set(s);
   }
   int start_id = intern(std::move(start));
@@ -223,13 +284,12 @@ StatusOr<Nfa> Nfa::Determinize(std::size_t max_states) const {
     Bitset current = std::move(queue.front());
     queue.pop_front();
     int from = ids.at(current);
+    // The result is complete: one edge per symbol, ascending.
     for (std::size_t sym = 0; sym < num_symbols_; ++sym) {
-      Bitset next(num_states_);
-      current.ForEachSetBit([&](std::size_t s) {
-        for (int t : delta_[s][sym]) next.Set(static_cast<std::size_t>(t));
-      });
+      Bitset next(num_states());
+      StepSubset(*this, current, static_cast<int>(sym), next);
       int to = intern(std::move(next));
-      result.delta_[from][sym].push_back(to);
+      result.edges_[from].push_back({static_cast<int>(sym), to});
     }
   }
   return result;
@@ -239,49 +299,49 @@ StatusOr<Nfa> Nfa::Complement(std::size_t max_states) const {
   StatusOr<Nfa> determinized = Determinize(max_states);
   if (!determinized.ok()) return determinized.status();
   Nfa result = std::move(determinized).value();
-  for (std::size_t s = 0; s < result.num_states_; ++s) {
+  for (std::size_t s = 0; s < result.num_states(); ++s) {
     result.accepting_[s] = !result.accepting_[s];
   }
   return result;
 }
 
-namespace {
-
-// Word-parallel arm of Contains: subsets of b's states are Bitsets and
-// each a-state's visited family lives in an AntichainStore (kKeepMinimal
-// under antichain pruning, kExact otherwise). Domination verdicts match
-// the sorted-vector arm below exactly — legacy "already covered" is
-// "some visited subset of the candidate exists" (antichain) or equality
-// (plain), which is precisely Dominated()/Insert()-returning-false — so
-// verdicts, counterexamples, and explored counts are byte-identical.
-StatusOr<Nfa::ContainmentResult> ContainsBitset(
-    const Nfa& a, const Nfa& b, const Nfa::ContainmentOptions& options) {
-  Nfa::ContainmentResult result;
+StatusOr<Nfa::ContainmentResult> Nfa::Contains(
+    const Nfa& a, const Nfa& b, const ContainmentOptions& options) {
+  DATALOG_CHECK_EQ(a.num_symbols_, b.num_symbols_);
+  ContainmentResult result;
   Governor governor(options.limits, "NFA containment");
   const std::size_t max_explored = options.limits.ExploredOr(10'000'000);
+  const SymbolIndex b_index(b);
+  // BFS words form a tree: node i spells word(parent) followed by symbol.
+  constexpr std::size_t kEmptyWord = static_cast<std::size_t>(-1);
+  struct WordNode {
+    std::size_t parent;
+    int symbol;
+  };
+  std::vector<WordNode> words;
   struct Item {
     int state;
     Bitset set;
-    std::vector<int> word;
+    std::size_t word;
   };
   std::vector<AntichainStore> visited(
       a.num_states(), AntichainStore(options.antichain
                                          ? AntichainStore::Mode::kKeepMinimal
                                          : AntichainStore::Mode::kExact));
   Bitset b_accepting(b.num_states());
+  Bitset b_start(b.num_states());
   for (std::size_t s = 0; s < b.num_states(); ++s) {
-    if (b.IsAccepting(static_cast<int>(s))) b_accepting.Set(s);
+    if (b.accepting_[s]) b_accepting.Set(s);
+    if (b.initial_[s]) b_start.Set(s);
   }
 
   std::deque<Item> queue;
-  Bitset b_start(b.num_states());
-  for (std::size_t s = 0; s < b.num_states(); ++s) {
-    if (b.IsInitial(static_cast<int>(s))) b_start.Set(s);
-  }
   for (std::size_t s = 0; s < a.num_states(); ++s) {
-    if (!a.IsInitial(static_cast<int>(s))) continue;
-    queue.push_back({static_cast<int>(s), b_start, {}});
+    if (a.initial_[s]) {
+      queue.push_back({static_cast<int>(s), b_start, kEmptyWord});
+    }
   }
+  Bitset next_set(b.num_states());
   while (!queue.empty()) {
     // Per-pop poll point: cancellation/deadline observed within one
     // frontier item's work.
@@ -296,125 +356,33 @@ StatusOr<Nfa::ContainmentResult> ContainsBitset(
       return Status(ResourceExhaustedError(
           StrCat("containment exceeded ", max_explored, " pairs")));
     }
-    bool a_accepts = a.IsAccepting(item.state);
-    bool b_accepts = item.set.Intersects(b_accepting);
-    if (a_accepts && !b_accepts) {
+    if (a.accepting_[item.state] && !item.set.Intersects(b_accepting)) {
       result.contained = false;
-      result.counterexample = item.word;
+      for (std::size_t n = item.word; n != kEmptyWord; n = words[n].parent) {
+        result.counterexample.push_back(words[n].symbol);
+      }
+      std::reverse(result.counterexample.begin(),
+                   result.counterexample.end());
       return result;
     }
-    for (std::size_t sym = 0; sym < a.num_symbols(); ++sym) {
-      Bitset next_set(b.num_states());
-      item.set.ForEachSetBit([&](std::size_t s) {
-        for (int t : b.Successors(static_cast<int>(s),
-                                  static_cast<int>(sym))) {
-          next_set.Set(static_cast<std::size_t>(t));
-        }
-      });
-      for (int t : a.Successors(item.state, static_cast<int>(sym))) {
-        if (visited[t].Dominated(next_set)) continue;
-        Item next{t, next_set, item.word};
-        next.word.push_back(static_cast<int>(sym));
-        queue.push_back(std::move(next));
-      }
-    }
+    // Only the symbols a leaves on can extend a counterexample.
+    ForEachSymbolRun(
+        a.edges_[item.state], [&](int symbol, EdgeIt first, EdgeIt last) {
+          next_set.Clear();
+          b_index.Successors(item.set, symbol, next_set);
+          // This item's word + symbol, made on first use.
+          std::size_t word = kEmptyWord;
+          for (; first != last; ++first) {
+            if (visited[first->target].Dominated(next_set)) continue;
+            if (word == kEmptyWord) {
+              word = words.size();
+              words.push_back({item.word, symbol});
+            }
+            queue.push_back({first->target, next_set, word});
+          }
+        });
   }
   return result;
-}
-
-// Sorted-vector ablation arm (use_bitsets=false): linear pairwise subset
-// scans over plain vectors, the pre-bitset implementation.
-StatusOr<Nfa::ContainmentResult> ContainsSortedVec(
-    const Nfa& a, const Nfa& b, const Nfa::ContainmentOptions& options) {
-  Nfa::ContainmentResult result;
-  Governor governor(options.limits, "NFA containment");
-  const std::size_t max_explored = options.limits.ExploredOr(10'000'000);
-  // Frontier of (a-state, subset of b-states) with the word that got us
-  // there; BFS so counterexamples are shortest.
-  struct Item {
-    int state;
-    StateSet set;
-    std::vector<int> word;
-  };
-  // visited[a-state] = antichain (or plain list) of explored b-subsets.
-  std::vector<std::vector<StateSet>> visited(a.num_states());
-  auto already_covered = [&](int state, const StateSet& set) {
-    for (const StateSet& existing : visited[state]) {
-      if (options.antichain ? IsSubsetOf(existing, set) : existing == set) {
-        return true;
-      }
-    }
-    return false;
-  };
-  auto record = [&](int state, const StateSet& set) {
-    if (options.antichain) {
-      // Drop dominated (superset) entries.
-      auto& chain = visited[state];
-      chain.erase(std::remove_if(chain.begin(), chain.end(),
-                                 [&set](const StateSet& existing) {
-                                   return IsSubsetOf(set, existing);
-                                 }),
-                  chain.end());
-    }
-    visited[state].push_back(set);
-  };
-
-  std::deque<Item> queue;
-  StateSet b_start;
-  for (std::size_t s = 0; s < b.num_states(); ++s) {
-    if (b.IsInitial(static_cast<int>(s))) b_start.push_back(static_cast<int>(s));
-  }
-  b_start = SortedUnique(std::move(b_start));
-  for (std::size_t s = 0; s < a.num_states(); ++s) {
-    if (!a.IsInitial(static_cast<int>(s))) continue;
-    queue.push_back({static_cast<int>(s), b_start, {}});
-  }
-  while (!queue.empty()) {
-    // Per-pop poll point, mirroring the bitset arm.
-    Status s = governor.Poll();
-    if (!s.ok()) return s;
-    Item item = std::move(queue.front());
-    queue.pop_front();
-    if (already_covered(item.state, item.set)) continue;
-    record(item.state, item.set);
-    if (++result.explored > max_explored) {
-      return Status(ResourceExhaustedError(
-          StrCat("containment exceeded ", max_explored, " pairs")));
-    }
-    bool a_accepts = a.IsAccepting(item.state);
-    bool b_accepts = std::any_of(item.set.begin(), item.set.end(),
-                                 [&b](int s) { return b.IsAccepting(s); });
-    if (a_accepts && !b_accepts) {
-      result.contained = false;
-      result.counterexample = item.word;
-      return result;
-    }
-    for (std::size_t sym = 0; sym < a.num_symbols(); ++sym) {
-      StateSet next_set;
-      for (int s : item.set) {
-        for (int t : b.Successors(s, static_cast<int>(sym))) {
-          next_set.push_back(t);
-        }
-      }
-      next_set = SortedUnique(std::move(next_set));
-      for (int t : a.Successors(item.state, static_cast<int>(sym))) {
-        if (already_covered(t, next_set)) continue;
-        Item next{t, next_set, item.word};
-        next.word.push_back(static_cast<int>(sym));
-        queue.push_back(std::move(next));
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-StatusOr<Nfa::ContainmentResult> Nfa::Contains(
-    const Nfa& a, const Nfa& b, const ContainmentOptions& options) {
-  DATALOG_CHECK_EQ(a.num_symbols_, b.num_symbols_);
-  return options.use_bitsets ? ContainsBitset(a, b, options)
-                             : ContainsSortedVec(a, b, options);
 }
 
 StatusOr<Nfa::ContainmentResult> Nfa::Contains(const Nfa& a, const Nfa& b) {
@@ -422,15 +390,13 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(const Nfa& a, const Nfa& b) {
 }
 
 std::string Nfa::ToString() const {
-  std::string out = StrCat("NFA states=", num_states_,
+  std::string out = StrCat("NFA states=", num_states(),
                            " symbols=", num_symbols_, "\n");
-  for (std::size_t s = 0; s < num_states_; ++s) {
+  for (std::size_t s = 0; s < num_states(); ++s) {
     out += StrCat("  q", s, initial_[s] ? " [init]" : "",
                   accepting_[s] ? " [acc]" : "", ":");
-    for (std::size_t sym = 0; sym < num_symbols_; ++sym) {
-      for (int t : delta_[s][sym]) {
-        out += StrCat(" --", sym, "--> q", t, "; ");
-      }
+    for (const Edge& e : edges_[s]) {
+      out += StrCat(" --", e.symbol, "--> q", e.target, "; ");
     }
     out += "\n";
   }

@@ -1,10 +1,12 @@
 // Nondeterministic finite word automata (paper §4.1).
 //
 // Symbols are dense integers 0..num_symbols-1 (callers keep their own label
-// tables). Supports the operations the paper relies on: boolean closure
-// (Proposition 4.1), emptiness via reachability (Proposition 4.2), and
-// containment via on-the-fly subset construction with optional antichain
-// pruning (Proposition 4.3; PSPACE-complete in general).
+// tables). Transitions are stored sparsely, as per-state edge lists, so
+// every operation pays for the edges that exist rather than for
+// states × symbols. Supports the operations the paper relies on: boolean
+// closure (Proposition 4.1), emptiness via reachability (Proposition 4.2),
+// and containment via on-the-fly subset construction with optional
+// antichain pruning (Proposition 4.3; PSPACE-complete in general).
 #ifndef DATALOG_EQ_SRC_AUTOMATA_NFA_H_
 #define DATALOG_EQ_SRC_AUTOMATA_NFA_H_
 
@@ -20,9 +22,15 @@ namespace datalog {
 
 class Nfa {
  public:
+  /// One transition: on `symbol`, to state `target`.
+  struct Edge {
+    int symbol;
+    int target;
+  };
+
   Nfa(std::size_t num_states, std::size_t num_symbols);
 
-  std::size_t num_states() const { return num_states_; }
+  std::size_t num_states() const { return edges_.size(); }
   std::size_t num_symbols() const { return num_symbols_; }
 
   int AddState();
@@ -32,9 +40,11 @@ class Nfa {
 
   bool IsInitial(int state) const { return initial_[state]; }
   bool IsAccepting(int state) const { return accepting_[state]; }
-  const std::vector<int>& Successors(int state, int symbol) const {
-    return delta_[state][symbol];
-  }
+  /// The transitions leaving `state`, in ascending symbol order and, within
+  /// one symbol, in the order they were added. Every algorithm below visits
+  /// edges in this order, so results do not depend on how the callers
+  /// interleaved their AddTransition calls across symbols.
+  const std::vector<Edge>& Edges(int state) const { return edges_[state]; }
   std::size_t NumTransitions() const;
 
   bool Accepts(const std::vector<int>& word) const;
@@ -68,12 +78,6 @@ class Nfa {
     /// default; beyond it the run aborts with ResourceExhausted). The
     /// BFS polls the governor at every queue pop.
     ExecutionLimits limits;
-    /// Run the product on word-parallel Bitset subsets with the visited
-    /// families kept in an AntichainStore (src/util/bitset.h). Disabling
-    /// falls back to the sorted-vector subsets with linear pairwise
-    /// scans (ablation baseline; verdicts, counterexamples, and explored
-    /// counts are identical either way — tests/nfa_test.cc).
-    bool use_bitsets = true;
   };
   struct ContainmentResult {
     bool contained = true;
@@ -84,7 +88,9 @@ class Nfa {
   };
 
   /// Decides L(a) ⊆ L(b) by an on-the-fly product of `a` with the subset
-  /// construction of `b`.
+  /// construction of `b`, breadth-first, so counterexamples are shortest.
+  /// Subsets of b's states are Bitsets; each a-state's visited subsets
+  /// live in an AntichainStore (src/util/bitset.h).
   static StatusOr<ContainmentResult> Contains(
       const Nfa& a, const Nfa& b, const ContainmentOptions& options);
   static StatusOr<ContainmentResult> Contains(const Nfa& a, const Nfa& b);
@@ -92,12 +98,11 @@ class Nfa {
   std::string ToString() const;
 
  private:
-  std::size_t num_states_;
   std::size_t num_symbols_;
   std::vector<bool> initial_;
   std::vector<bool> accepting_;
-  // delta_[state][symbol] -> successor states
-  std::vector<std::vector<std::vector<int>>> delta_;
+  // edges_[state], kept sorted by symbol; stable within one symbol.
+  std::vector<std::vector<Edge>> edges_;
 };
 
 }  // namespace datalog

@@ -5,14 +5,17 @@
 // ContainmentDecisions — verdict, counterexample witness tree, state and
 // goal counts, rounds, antichain prunes — to the Bloom-signature +
 // sorted-vector path it replaced, with and without antichain pruning.
-// NFA and NFTA containment get the same treatment: the Bitset frontier /
-// AntichainStore arms must match the sorted-vector ablation arm verdict
+// NFTA containment gets the same treatment: the Bitset frontier /
+// AntichainStore arm must match the sorted-vector ablation arm verdict
 // for verdict, counterexample for counterexample, and explored count for
-// explored count, on fixed automata and on randomized ones.
+// explored count. NFA containment, which has a single arm, is checked
+// against the complement construction and a brute-force search for the
+// shortest counterexample, on fixed automata and on randomized ones.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -199,28 +202,56 @@ INSTANTIATE_TEST_SUITE_P(RandomThetas, DeciderBitsetRandomTest,
                          ::testing::Range(0, 20));
 
 // ---------------------------------------------------------------------
-// NFA containment: Bitset frontiers/AntichainStore vs sorted vectors.
+// NFA containment: the on-the-fly product against the complement
+// construction and a brute-force search for the shortest counterexample.
 // ---------------------------------------------------------------------
 
-void ExpectSameNfaContainment(const Nfa& a, const Nfa& b,
-                              const std::string& label) {
-  for (bool antichain : {true, false}) {
-    Nfa::ContainmentOptions with_bitsets;
-    with_bitsets.use_bitsets = true;
-    with_bitsets.antichain = antichain;
-    Nfa::ContainmentOptions without;
-    without.use_bitsets = false;
-    without.antichain = antichain;
-    StatusOr<Nfa::ContainmentResult> x = Nfa::Contains(a, b, with_bitsets);
-    StatusOr<Nfa::ContainmentResult> y = Nfa::Contains(a, b, without);
-    ASSERT_EQ(x.ok(), y.ok()) << label;
-    if (!y.ok()) continue;
-    EXPECT_EQ(x->contained, y->contained)
+// Length of the shortest word in L(a) \ L(b) among words up to
+// `max_len` symbols long, by enumerating them in length order; -1 if none.
+int BruteForceShortestCounterexample(const Nfa& a, const Nfa& b,
+                                     int max_len) {
+  const int symbols = static_cast<int>(a.num_symbols());
+  std::vector<int> word;
+  for (int len = 0; len <= max_len; ++len) {
+    word.assign(len, 0);
+    while (true) {
+      if (a.Accepts(word) && !b.Accepts(word)) return len;
+      int i = 0;
+      while (i < len && ++word[i] == symbols) word[i++] = 0;
+      if (i == len) break;
+    }
+  }
+  return -1;
+}
+
+void ExpectNfaContainmentAgrees(const Nfa& a, const Nfa& b,
+                                const std::string& label) {
+  StatusOr<Nfa> not_b = b.Complement();
+  ASSERT_TRUE(not_b.ok()) << label;
+  const std::optional<std::vector<int>> shortest =
+      Nfa::Intersection(a, *not_b).ShortestWord();
+  std::size_t explored_exact = 0;
+  for (bool antichain : {false, true}) {
+    Nfa::ContainmentOptions options;
+    options.antichain = antichain;
+    StatusOr<Nfa::ContainmentResult> r = Nfa::Contains(a, b, options);
+    ASSERT_TRUE(r.ok()) << label;
+    EXPECT_EQ(r->contained, !shortest.has_value())
         << label << " antichain=" << antichain;
-    EXPECT_EQ(x->counterexample, y->counterexample)
+    if (antichain) {
+      EXPECT_LE(r->explored, explored_exact) << label;
+    } else {
+      explored_exact = r->explored;
+    }
+    if (r->contained || !shortest.has_value()) continue;
+    EXPECT_TRUE(a.Accepts(r->counterexample)) << label;
+    EXPECT_FALSE(b.Accepts(r->counterexample)) << label;
+    // BFS counterexamples are shortest, with or without pruning.
+    const int length = static_cast<int>(shortest->size());
+    EXPECT_EQ(static_cast<int>(r->counterexample.size()), length)
         << label << " antichain=" << antichain;
-    EXPECT_EQ(x->explored, y->explored)
-        << label << " antichain=" << antichain;
+    EXPECT_EQ(BruteForceShortestCounterexample(a, b, length), length)
+        << label;
   }
 }
 
@@ -257,32 +288,37 @@ Nfa RandomNfa(std::mt19937_64& rng, int states, int symbols,
   return nfa;
 }
 
-TEST(NfaBitsetDifferentialTest, KthFromEndSelfAndCrossContainment) {
+TEST(NfaContainmentAgreementTest, KthFromEndSelfAndCrossContainment) {
   for (int n : {3, 5, 8}) {
     Nfa a = KthFromEnd(n);
-    ExpectSameNfaContainment(a, a, StrCat("kth_self_n", n));
+    ExpectNfaContainmentAgrees(a, a, StrCat("kth_self_n", n));
     // L(kth n+1) ⊄ L(kth n) and vice versa: both directions produce
     // counterexample searches.
     Nfa b = KthFromEnd(n + 1);
-    ExpectSameNfaContainment(a, b, StrCat("kth_cross_a_n", n));
-    ExpectSameNfaContainment(b, a, StrCat("kth_cross_b_n", n));
+    ExpectNfaContainmentAgrees(a, b, StrCat("kth_cross_a_n", n));
+    ExpectNfaContainmentAgrees(b, a, StrCat("kth_cross_b_n", n));
   }
 }
 
-TEST(NfaBitsetDifferentialTest, RandomizedAutomataAgree) {
+TEST(NfaContainmentAgreementTest, RandomizedAutomataAgree) {
   std::mt19937_64 rng(20260808);
+  int negatives = 0;
   for (int trial = 0; trial < 40; ++trial) {
     int states = 2 + static_cast<int>(rng() % 7);
     int symbols = 1 + static_cast<int>(rng() % 3);
     Nfa a = RandomNfa(rng, states, symbols, 0.25);
     Nfa b = RandomNfa(rng, 2 + static_cast<int>(rng() % 7), symbols, 0.35);
-    ExpectSameNfaContainment(a, b, StrCat("random_trial", trial));
+    ExpectNfaContainmentAgrees(a, b, StrCat("random_trial", trial));
+    StatusOr<Nfa::ContainmentResult> r = Nfa::Contains(a, b);
+    ASSERT_TRUE(r.ok());
+    if (!r->contained) ++negatives;
   }
+  EXPECT_GT(negatives, 5) << "the negative path must be exercised";
 }
 
-TEST(NfaBitsetDifferentialTest, DeterminizeAgreesWithLegacyLanguage) {
-  // Determinize now interns Bitset subsets; the result must still accept
-  // exactly the same words as the input.
+TEST(NfaContainmentAgreementTest, DeterminizePreservesLanguage) {
+  // Determinize interns Bitset subsets and emits one edge per symbol; the
+  // result must accept exactly the same words as the input.
   std::mt19937_64 rng(77);
   for (int trial = 0; trial < 10; ++trial) {
     Nfa a = RandomNfa(rng, 2 + static_cast<int>(rng() % 5), 2, 0.3);

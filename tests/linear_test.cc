@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "src/containment/decider.h"
 #include "src/containment/linear.h"
+#include "src/corpus/generate.h"
 #include "src/generators/examples.h"
 #include "src/trees/strong_mapping.h"
 #include "tests/test_util.h"
@@ -157,6 +161,39 @@ TEST(LinearDeciderTest, ChainProgramScaling) {
   LinearContainmentResult result = MustDecideLinear(chain, "p", odd_paths);
   ASSERT_FALSE(result.contained);
   EXPECT_EQ(result.counterexample->Size(), 3u);  // 2+2+1 edges over 3 nodes
+}
+
+// Pins the breadth-first containment search on the heaviest tc-family
+// shape the seed-1 corpus runs through the linear arm: the step-2 chain
+// stepper against a union of four path queries. The number of explored
+// (state, subset) pairs and the decoded counterexample depend on the
+// order Nfa::Contains visits symbols and successors, so a kernel change
+// that reorders the search fails here; the alphabet and theta sizes pin
+// the input that search runs on.
+TEST(LinearDeciderTest, PinsSearchOnHeaviestCorpusTcInstance) {
+  corpus::CorpusGenOptions options;
+  options.count = 200;
+  const std::string stepper = ChainProgram(2).ToString();
+  std::optional<corpus::CorpusInstance> heavy;
+  for (corpus::CorpusInstance& instance : corpus::GenerateCorpus(options)) {
+    if (instance.program.ToString() == stepper &&
+        instance.theta.size() == 4) {
+      heavy = std::move(instance);
+      break;
+    }
+  }
+  ASSERT_TRUE(heavy.has_value());
+  LinearContainmentResult result =
+      MustDecideLinear(heavy->program, heavy->goal, heavy->theta);
+  ASSERT_FALSE(result.contained);
+  EXPECT_EQ(result.alphabet_size, 4160u);
+  EXPECT_EQ(result.ptrees_states, 65u);
+  EXPECT_EQ(result.theta_states, 6348u);
+  EXPECT_EQ(result.pairs_explored, 499u);
+  EXPECT_EQ(result.counterexample->ToString(),
+            "(p($0, $0)  |  p($0, $0) :- e($0, $1), e($1, $2), p($2, $0).)\n"
+            "  (p($2, $0)  |  p($2, $0) :- e($2, $1), e($1, $3), p($3, $0).)\n"
+            "    (p($3, $0)  |  p($3, $0) :- e($3, $0).)\n");
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <tuple>
+#include <vector>
 
 #include "src/automata/nfa.h"
 
@@ -218,6 +221,127 @@ TEST(NfaTest, AddStateGrowsAutomaton) {
   EXPECT_EQ(nfa.num_states(), 2u);
   nfa.AddTransition(0, 0, s);
   EXPECT_EQ(nfa.NumTransitions(), 1u);
+}
+
+// Callers add transitions in whatever order their constructions visit
+// symbols; every algorithm must see ascending symbols with insertion order
+// kept within one symbol, so results do not depend on the interleaving.
+TEST(NfaTest, SymbolOrderInvariance) {
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 30; ++trial) {
+    const int states = 3 + static_cast<int>(rng() % 6);
+    const int symbols = 2 + static_cast<int>(rng() % 5);
+    // Per (state, symbol) target lists, in the order they must be kept.
+    std::vector<std::vector<std::tuple<int, int, int>>> runs;
+    for (int s = 0; s < states; ++s) {
+      for (int sym = 0; sym < symbols; ++sym) {
+        runs.emplace_back();
+        for (int t = 0; t < states; ++t) {
+          if (rng() % 4 == 0) runs.back().emplace_back(s, sym, t);
+        }
+        std::shuffle(runs.back().begin(), runs.back().end(), rng);
+      }
+    }
+    std::vector<bool> accepting(states);
+    for (int s = 0; s < states; ++s) accepting[s] = rng() % 3 == 0;
+    auto make = [&](bool interleave) {
+      Nfa nfa(states, symbols);
+      nfa.SetInitial(0);
+      for (int s = 0; s < states; ++s) nfa.SetAccepting(s, accepting[s]);
+      std::vector<std::size_t> next(runs.size(), 0);
+      std::size_t left = 0;
+      for (const auto& run : runs) left += run.size();
+      for (std::size_t r = 0; left > 0;) {
+        // Ascending: drain the runs in order. Interleaved: pick a random
+        // unfinished run each time, so symbols (and source states)
+        // arrive out of order while each run keeps its own order.
+        if (interleave) r = rng() % runs.size();
+        if (next[r] == runs[r].size()) {
+          if (!interleave) ++r;
+          continue;
+        }
+        auto [from, sym, to] = runs[r][next[r]++];
+        nfa.AddTransition(from, sym, to);
+        --left;
+      }
+      return nfa;
+    };
+    Nfa ascending = make(false);
+    Nfa shuffled = make(true);
+    EXPECT_EQ(ascending.ToString(), shuffled.ToString()) << trial;
+    EXPECT_EQ(ascending.ShortestWord(), shuffled.ShortestWord()) << trial;
+    Nfa other = RandomNfa(rng, 4, symbols, 0.3);
+    auto expect_same = [trial](const Nfa& a1, const Nfa& b1, const Nfa& a2,
+                               const Nfa& b2) {
+      auto r1 = Nfa::Contains(a1, b1);
+      auto r2 = Nfa::Contains(a2, b2);
+      ASSERT_TRUE(r1.ok());
+      ASSERT_TRUE(r2.ok());
+      EXPECT_EQ(r1->contained, r2->contained) << trial;
+      EXPECT_EQ(r1->counterexample, r2->counterexample) << trial;
+      EXPECT_EQ(r1->explored, r2->explored) << trial;
+    };
+    expect_same(ascending, other, shuffled, other);
+    expect_same(other, ascending, other, shuffled);
+  }
+}
+
+// 2^20 symbols, a handful of edges: storage and every operation must
+// follow the edges (Determinize excepted: its result is complete).
+TEST(NfaTest, WideAlphabetRoundTrips) {
+  constexpr int kSymbols = 1 << 20;
+  constexpr int kHigh = kSymbols - 3;
+  constexpr int kLow = 7;
+  // L(a) = {kHigh kLow}.
+  Nfa a(3, kSymbols);
+  a.SetInitial(0);
+  a.SetAccepting(2);
+  a.AddTransition(1, kLow, 2);
+  a.AddTransition(0, kHigh, 1);
+  // L(b) = kLow* kHigh kLow*.
+  Nfa b(2, kSymbols);
+  b.SetInitial(0);
+  b.SetAccepting(1);
+  b.AddTransition(0, kHigh, 1);
+  b.AddTransition(1, kLow, 1);
+  b.AddTransition(0, kLow, 0);
+  EXPECT_EQ(a.NumTransitions() + b.NumTransitions(), 5u);
+
+  EXPECT_EQ(a.ShortestWord(), (std::vector<int>{kHigh, kLow}));
+  EXPECT_EQ(b.ShortestWord(), (std::vector<int>{kHigh}));
+
+  Nfa u = Nfa::Union(a, b);
+  EXPECT_EQ(u.num_states(), 5u);
+  EXPECT_EQ(u.NumTransitions(), 5u);
+  EXPECT_TRUE(u.Accepts({kHigh}));
+  EXPECT_TRUE(u.Accepts({kLow, kHigh, kLow}));
+  EXPECT_FALSE(u.Accepts({kLow}));
+  EXPECT_EQ(u.ShortestWord(), (std::vector<int>{kHigh}));
+
+  Nfa i = Nfa::Intersection(a, b);
+  EXPECT_EQ(i.ShortestWord(), (std::vector<int>{kHigh, kLow}));
+  EXPECT_FALSE(i.Accepts({kHigh}));
+
+  auto a_in_b = Nfa::Contains(a, b);
+  ASSERT_TRUE(a_in_b.ok());
+  EXPECT_TRUE(a_in_b->contained);
+  auto b_in_a = Nfa::Contains(b, a);
+  ASSERT_TRUE(b_in_a.ok());
+  EXPECT_FALSE(b_in_a->contained);
+  EXPECT_EQ(b_in_a->counterexample, (std::vector<int>{kHigh}));
+  auto b_in_u = Nfa::Contains(b, u);
+  ASSERT_TRUE(b_in_u.ok());
+  EXPECT_TRUE(b_in_u->contained);
+
+  // {0}, {1}, {2} and the empty subset, each with one edge per symbol.
+  StatusOr<Nfa> det = a.Determinize();
+  ASSERT_TRUE(det.ok());
+  EXPECT_EQ(det->num_states(), 4u);
+  EXPECT_EQ(det->NumTransitions(), 4u * kSymbols);
+  EXPECT_TRUE(det->Accepts({kHigh, kLow}));
+  EXPECT_FALSE(det->Accepts({kHigh}));
+  EXPECT_FALSE(det->Accepts({kHigh, kLow, kLow}));
+  EXPECT_FALSE(det->Accepts({0, kHigh, kLow}));
 }
 
 }  // namespace

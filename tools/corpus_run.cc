@@ -22,11 +22,15 @@
 // Exit status:
 //   0  success, no instance timed out
 //   1  pipeline error (engine failure or stage disagreement)
-//   2  usage or I/O failure
+//   2  usage or I/O failure (an --out-dir that is not an existing,
+//      writable directory fails here, before the corpus is opened)
 //   3  success, but at least one instance timed out
 //   4  run cancelled (kCancelled)
 //   5  run-wide deadline or step budget exhausted (kDeadlineExceeded /
 //      kResourceExhausted from the run-wide governor)
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -88,6 +92,15 @@ int main(int argc, char** argv) {
     }
   }
   if (corpus_path.empty() || out_dir.empty()) return Usage();
+  // Checked before any work: the certificates are written only after the
+  // whole run, which an unusable directory would throw away.
+  struct stat out_stat;
+  if (stat(out_dir.c_str(), &out_stat) != 0 || !S_ISDIR(out_stat.st_mode) ||
+      access(out_dir.c_str(), W_OK | X_OK) != 0) {
+    std::cerr << "corpus_run: --out-dir " << out_dir
+              << " is not an existing, writable directory\n";
+    return 2;
+  }
 
   datalog::StatusOr<datalog::corpus::CorpusReader> reader =
       datalog::corpus::CorpusReader::Open(corpus_path);
