@@ -42,54 +42,45 @@ void ForEachSymbolRun(const std::vector<Nfa::Edge>& edges, Fn fn) {
   }
 }
 
-// Sets in `next` every target of an edge of `nfa` on `symbol` whose source
-// is in `from`.
-void StepSubset(const Nfa& nfa, const Bitset& from, int symbol, Bitset& next) {
-  from.ForEachSetBit([&](std::size_t s) {
-    auto [first, last] = SymbolRange(nfa.Edges(static_cast<int>(s)), symbol);
-    for (; first != last; ++first) {
-      next.Set(static_cast<std::size_t>(first->target));
-    }
-  });
-}
-
-// An automaton's transitions bucketed by symbol (CSR): the (source,
-// target) pairs that read symbol s are pairs[offsets[s], offsets[s+1]).
-// A subset's successor on s is then one pass over those pairs, however
-// many states the subset holds.
-class SymbolIndex {
+// Steps one subset of an automaton's states on ascending symbols. It keeps
+// a cursor into each member's symbol-sorted edge list, so stepping the
+// subset on every symbol it is asked for costs one pass over the members'
+// edges plus one cursor check per (member, symbol) — no per-symbol search
+// and no index over the whole automaton, which may still be growing.
+class SubsetStepper {
  public:
-  explicit SymbolIndex(const Nfa& nfa) : offsets_(nfa.num_symbols() + 1, 0) {
-    for (std::size_t s = 0; s < nfa.num_states(); ++s) {
-      for (const Nfa::Edge& e : nfa.Edges(static_cast<int>(s))) {
-        ++offsets_[e.symbol + 1];
+  // Restarts on the subset `from` of `nfa`'s states. The edge lists must
+  // not change until the last Step.
+  void Start(const Nfa& nfa, const Bitset& from) {
+    cursors_.clear();
+    from.ForEachSetBit([&](std::size_t s) {
+      const std::vector<Nfa::Edge>& edges = nfa.Edges(static_cast<int>(s));
+      if (!edges.empty()) {
+        cursors_.push_back({edges.data(), edges.data() + edges.size()});
       }
-    }
-    for (std::size_t sym = 0; sym < nfa.num_symbols(); ++sym) {
-      offsets_[sym + 1] += offsets_[sym];
-    }
-    pairs_.resize(offsets_.back());
-    std::vector<std::size_t> fill(offsets_.begin(), offsets_.end() - 1);
-    for (std::size_t s = 0; s < nfa.num_states(); ++s) {
-      for (const Nfa::Edge& e : nfa.Edges(static_cast<int>(s))) {
-        pairs_[fill[e.symbol]++] = {static_cast<int>(s), e.target};
-      }
-    }
+    });
   }
 
-  // Sets in `next` every target of an edge on `symbol` whose source is in
-  // `from`.
-  void Successors(const Bitset& from, int symbol, Bitset& next) const {
-    for (std::size_t i = offsets_[symbol]; i < offsets_[symbol + 1]; ++i) {
-      if (from.Test(static_cast<std::size_t>(pairs_[i].first))) {
-        next.Set(static_cast<std::size_t>(pairs_[i].second));
+  // Sets in `next` every target of an edge on `symbol` leaving the
+  // subset. Symbols must strictly ascend across the calls after a Start.
+  void Step(int symbol, Bitset& next) {
+    for (Cursor& cursor : cursors_) {
+      while (cursor.next != cursor.end && cursor.next->symbol < symbol) {
+        ++cursor.next;
+      }
+      for (; cursor.next != cursor.end && cursor.next->symbol == symbol;
+           ++cursor.next) {
+        next.Set(static_cast<std::size_t>(cursor.next->target));
       }
     }
   }
 
  private:
-  std::vector<std::size_t> offsets_;
-  std::vector<std::pair<int, int>> pairs_;
+  struct Cursor {
+    const Nfa::Edge* next;
+    const Nfa::Edge* end;
+  };
+  std::vector<Cursor> cursors_;
 };
 
 }  // namespace
@@ -140,9 +131,11 @@ bool Nfa::Accepts(const std::vector<int>& word) const {
     if (accepting_[s]) accepting.Set(s);
   }
   Bitset next(num_states());
+  SubsetStepper stepper;
   for (int symbol : word) {
     next.Clear();
-    StepSubset(*this, current, symbol, next);
+    stepper.Start(*this, current);
+    stepper.Step(symbol, next);
     std::swap(current, next);
     if (current.None()) return false;
   }
@@ -276,6 +269,7 @@ StatusOr<Nfa> Nfa::Determinize(std::size_t max_states) const {
   }
   int start_id = intern(std::move(start));
   result.initial_[start_id] = true;
+  SubsetStepper stepper;
   while (!queue.empty()) {
     if (ids.size() > max_states) {
       return Status(ResourceExhaustedError(
@@ -285,9 +279,10 @@ StatusOr<Nfa> Nfa::Determinize(std::size_t max_states) const {
     queue.pop_front();
     int from = ids.at(current);
     // The result is complete: one edge per symbol, ascending.
+    stepper.Start(*this, current);
     for (std::size_t sym = 0; sym < num_symbols_; ++sym) {
       Bitset next(num_states());
-      StepSubset(*this, current, static_cast<int>(sym), next);
+      stepper.Step(static_cast<int>(sym), next);
       int to = intern(std::move(next));
       result.edges_[from].push_back({static_cast<int>(sym), to});
     }
@@ -306,12 +301,12 @@ StatusOr<Nfa> Nfa::Complement(std::size_t max_states) const {
 }
 
 StatusOr<Nfa::ContainmentResult> Nfa::Contains(
-    const Nfa& a, const Nfa& b, const ContainmentOptions& options) {
+    const Nfa& a, const Nfa& b, const ContainmentOptions& options,
+    const Expander& expand) {
   DATALOG_CHECK_EQ(a.num_symbols_, b.num_symbols_);
   ContainmentResult result;
   Governor governor(options.limits, "NFA containment");
   const std::size_t max_explored = options.limits.ExploredOr(10'000'000);
-  const SymbolIndex b_index(b);
   // BFS words form a tree: node i spells word(parent) followed by symbol.
   constexpr std::size_t kEmptyWord = static_cast<std::size_t>(-1);
   struct WordNode {
@@ -334,6 +329,22 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
     if (b.accepting_[s]) b_accepting.Set(s);
     if (b.initial_[s]) b_start.Set(s);
   }
+  // On-demand `b`: the states already expanded, and how many of b's
+  // states b_accepting has seen.
+  Bitset expanded;
+  std::size_t known_states = b.num_states();
+  auto expand_members = [&](const Bitset& set) {
+    Status status = OkStatus();
+    set.ForEachSetBit([&](std::size_t s) {
+      if (!status.ok() || expanded.Test(s)) return;
+      expanded.Set(s);
+      status = expand(static_cast<int>(s));
+    });
+    for (; known_states < b.num_states(); ++known_states) {
+      if (b.accepting_[known_states]) b_accepting.Set(known_states);
+    }
+    return status;
+  };
 
   std::deque<Item> queue;
   for (std::size_t s = 0; s < a.num_states(); ++s) {
@@ -342,6 +353,7 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
     }
   }
   Bitset next_set(b.num_states());
+  SubsetStepper stepper;
   while (!queue.empty()) {
     // Per-pop poll point: cancellation/deadline observed within one
     // frontier item's work.
@@ -365,11 +377,14 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
                    result.counterexample.end());
       return result;
     }
+    if (a.edges_[item.state].empty()) continue;
+    if (expand) DATALOG_RETURN_IF_ERROR(expand_members(item.set));
     // Only the symbols a leaves on can extend a counterexample.
+    stepper.Start(b, item.set);
     ForEachSymbolRun(
         a.edges_[item.state], [&](int symbol, EdgeIt first, EdgeIt last) {
           next_set.Clear();
-          b_index.Successors(item.set, symbol, next_set);
+          stepper.Step(symbol, next_set);
           // This item's word + symbol, made on first use.
           std::size_t word = kEmptyWord;
           for (; first != last; ++first) {

@@ -11,6 +11,7 @@
 #define DATALOG_EQ_SRC_AUTOMATA_NFA_H_
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -87,12 +88,26 @@ class Nfa {
     std::size_t explored = 0;
   };
 
+  /// Adds the out-edges of one right-hand state to the automaton being
+  /// searched (and any states they lead to); see Contains.
+  using Expander = std::function<Status(int state)>;
+
   /// Decides L(a) ⊆ L(b) by an on-the-fly product of `a` with the subset
   /// construction of `b`, breadth-first, so counterexamples are shortest.
   /// Subsets of b's states are Bitsets; each a-state's visited subsets
   /// live in an AntichainStore (src/util/bitset.h).
+  ///
+  /// With `expand`, `b` is built on demand: it starts with its initial
+  /// states, and before the search steps a popped subset, `expand` is
+  /// called once for each member it has not seen yet, to add that state's
+  /// out-edges (new states, accepting or not, may come with them). `b` is
+  /// the automaton `expand` grows, so it is re-read after each call. A
+  /// failed expansion ends the search with its Status. The search only
+  /// tests subsets for inclusion and intersection, so it gives the same
+  /// verdict, `explored` and counterexample as on the fully built `b`.
   static StatusOr<ContainmentResult> Contains(
-      const Nfa& a, const Nfa& b, const ContainmentOptions& options);
+      const Nfa& a, const Nfa& b, const ContainmentOptions& options,
+      const Expander& expand = nullptr);
   static StatusOr<ContainmentResult> Contains(const Nfa& a, const Nfa& b);
 
   std::string ToString() const;

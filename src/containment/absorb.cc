@@ -441,24 +441,6 @@ bool RootAccepts(const std::vector<IrQueryAnalysis>& queries,
 }
 
 void EnumerateForwardAbsorptions(
-    const QueryAnalysis& query, std::uint64_t pending_mask,
-    const std::vector<const Atom*>& edb_atoms, const PinnedMap& seed,
-    const std::function<void(std::uint64_t,
-                             const std::vector<std::optional<Term>>&)>&
-        visit) {
-  Assignment assignment(query.vars.size());
-  std::vector<int> trail;
-  for (const auto& [v, term] : seed) {
-    bool ok = assignment.Bind(v, term, &trail);
-    DATALOG_CHECK(ok) << "inconsistent seed assignment";
-  }
-  EnumerateAbsorptions(query, pending_mask, edb_atoms, &assignment, &trail,
-                       0, 0, [&](std::uint64_t beta_prime) {
-                         visit(beta_prime, assignment.image);
-                       });
-}
-
-void EnumerateForwardAbsorptions(
     const IrQueryAnalysis& query, std::uint64_t pending_mask,
     const std::vector<IrInstanceAtom>& edb_atoms, const IrPinnedMap& seed,
     const std::function<void(std::uint64_t, const ir::IrSubstitution&)>&

@@ -202,21 +202,10 @@ bool RootAccepts(const std::vector<IrQueryAnalysis>& queries,
 /// construction for linear programs: enumerates every subset β' of the
 /// pending atoms `pending_mask` of `query` that maps homomorphically into
 /// `edb_atoms` consistently with the seed assignment, and calls
-/// `visit(beta_prime, assignment)` with the extended assignment (indexed
-/// by query variable id; unassigned entries are nullopt). The empty subset
-/// is included.
-void EnumerateForwardAbsorptions(
-    const QueryAnalysis& query, std::uint64_t pending_mask,
-    const std::vector<const Atom*>& edb_atoms, const PinnedMap& seed,
-    const std::function<void(std::uint64_t,
-                             const std::vector<std::optional<Term>>&)>&
-        visit);
-
-/// IR rendering of EnumerateForwardAbsorptions: the same enumeration in
-/// the same order, with every unification an integer compare and no Terms
-/// moved. The seed pins images in the instance frame (TermIds); `visit`
-/// receives the chosen subset and the extended dense assignment (invalid
-/// TermId = unassigned).
+/// `visit(beta_prime, assignment)` with the extended dense assignment
+/// (indexed by query variable id; invalid TermId = unassigned). The empty
+/// subset is included. Every unification is an integer compare; the seed
+/// pins images in the instance frame (TermIds).
 void EnumerateForwardAbsorptions(
     const IrQueryAnalysis& query, std::uint64_t pending_mask,
     const std::vector<IrInstanceAtom>& edb_atoms, const IrPinnedMap& seed,

@@ -1,9 +1,7 @@
 #include "src/containment/linear.h"
 
-#include <map>
+#include <deque>
 #include <optional>
-#include <set>
-#include <unordered_set>
 
 #include "src/analysis/reachability.h"
 #include "src/ast/analysis.h"
@@ -18,24 +16,13 @@
 namespace datalog {
 namespace {
 
-std::string PinnedToString(const PinnedMap& pinned) {
-  std::string out;
-  for (const auto& [v, t] : pinned) out += StrCat(v, "=", t.ToString(), ";");
-  return out;
-}
+// The automata are built from the alphabet's per-symbol IR encodings
+// (ProgramAlphabet::LabelIr): IDB atoms over var(Π) intern to dense ids
+// through rows [pred, enc(arg)...] in a VarKeyTable, and the absorption
+// enumeration runs on EnumerateForwardAbsorptions' TermIds — no Terms
+// move and nothing is rendered.
 
-// ---- the interned (IR) arm ---------------------------------------------
-//
-// States and transitions are built from the alphabet's per-symbol IR
-// encodings (ProgramAlphabet::LabelIr): IDB atoms over var(Π) intern to
-// dense ids through rows [pred, enc(arg)...] in a VarKeyTable, a theta
-// state is the row [atom id, mask, pinned (variable, image) ints...], and
-// the absorption enumeration runs on the IR overload of
-// EnumerateForwardAbsorptions — no Terms move and nothing is rendered.
-// Discovery order matches the string arm exactly, so the automata are
-// identical state for state.
-
-// The A^ptrees word automaton plus the per-symbol lookup structures the
+// The A^ptrees word automaton's per-symbol lookup structures, which the
 // theta automata share: dense IDB-atom ids, symbols grouped by head atom,
 // and each symbol's child atom id / child-visible proof variables.
 struct LinearIrContext {
@@ -63,59 +50,107 @@ struct LinearIrContext {
   std::vector<int> row_;
 };
 
-// Builds the word automaton for one disjunct over the shared alphabet,
-// on the IR encoding. State ids offset the shared accept state by one,
-// mirroring the string arm's numbering.
-StatusOr<Nfa> BuildThetaWordAutomatonIr(
-    const IrQueryAnalysis& query, const ProgramAlphabet& alphabet,
-    const LinearIrContext& ctx,
-    const std::vector<std::uint32_t>& goal_atom_ids,
-    const ExecutionLimits& limits) {
-  Governor governor(limits, "linear theta automaton");
-  const std::size_t max_states = limits.StatesOr(500'000);
-  const QueryAnalysis& base = *query.base;
-  Nfa nfa(0, alphabet.num_labels());
-  int accept = nfa.AddState();
-  nfa.SetAccepting(accept);
+// The union of the disjuncts' A^θ word automata, built on demand by the
+// containment search (Nfa::Contains' expander). A state of a disjunct is
+// (goal atom, pending atom mask, pinned images), interned as the row
+// [atom id, mask, pinned (variable, image) ints...] in that disjunct's
+// own table; each disjunct also has its own accept state. All of them
+// share one Nfa, numbered in the order the search materialises them.
+// Expand adds a state's out-edges exactly as an eager worklist build
+// would, so the fully expanded union equals the eager one up to a
+// renaming of states.
+class ThetaWordUnion {
+ public:
+  ThetaWordUnion(const ProgramAlphabet& alphabet, const LinearIrContext& ctx,
+                 const ExecutionLimits& limits)
+      : alphabet_(alphabet),
+        ctx_(ctx),
+        governor_(limits, "linear theta automaton"),
+        max_states_(limits.StatesOr(500'000)),
+        nfa_(0, alphabet.num_labels()) {}
 
+  Nfa& nfa() { return nfa_; }
+
+  // Adds a disjunct's accept state and its initial states: the disjunct's
+  // head vector unified with each goal atom. `query.base` must outlive
+  // this object.
+  void AddDisjunct(IrQueryAnalysis query,
+                   const std::vector<std::uint32_t>& goal_atom_ids);
+
+  // Adds the out-edges of `state`, charging one step; fails once the
+  // state's disjunct holds more than `limits.max_states` states.
+  Status Expand(int state);
+
+ private:
   struct State {
     std::uint32_t atom_id = 0;
     std::uint64_t mask = 0;
     IrPinnedMap pinned;
   };
-  std::vector<State> states;
-  VarKeyTable state_keys;
-  std::vector<int> worklist;
-  std::vector<int> row;
-  auto intern = [&](std::uint32_t atom_id, std::uint64_t mask,
-                    IrPinnedMap pinned) -> int {
-    row.clear();
-    row.push_back(static_cast<int>(atom_id));
-    row.push_back(static_cast<int>(static_cast<std::uint32_t>(mask)));
-    row.push_back(static_cast<int>(static_cast<std::uint32_t>(mask >> 32)));
-    for (const auto& [v, term] : pinned) {
-      row.push_back(v);
-      row.push_back(ir::EncodeRowTerm(term));
-    }
-    auto [id, inserted] = state_keys.Intern(row.data(), row.size());
-    if (inserted) {
-      int nfa_id = nfa.AddState();
-      DATALOG_CHECK_EQ(nfa_id, static_cast<int>(id) + 1);
-      states.push_back({atom_id, mask, std::move(pinned)});
-      worklist.push_back(nfa_id);
-    }
-    return static_cast<int>(id) + 1;  // accept is state 0
+  struct Disjunct {
+    IrQueryAnalysis query;
+    int accept = 0;
+    VarKeyTable keys;
+    std::vector<State> states;  // by index in `keys`
+    std::vector<int> ids;       // by index in `keys`: the Nfa state
+  };
+  // The disjunct of an Nfa state, and its index there (-1: accept).
+  struct Owner {
+    std::size_t disjunct;
+    int index;
   };
 
-  // Initial states: unify the disjunct's head vector with each goal atom.
+  int Intern(std::size_t disjunct, std::uint32_t atom_id, std::uint64_t mask,
+             IrPinnedMap pinned);
+
+  const ProgramAlphabet& alphabet_;
+  const LinearIrContext& ctx_;
+  Governor governor_;
+  const std::size_t max_states_;
+  Nfa nfa_;
+  std::vector<Disjunct> disjuncts_;
+  std::vector<Owner> owners_;  // by Nfa state
+  std::vector<int> row_;
+};
+
+int ThetaWordUnion::Intern(std::size_t disjunct, std::uint32_t atom_id,
+                           std::uint64_t mask, IrPinnedMap pinned) {
+  row_.clear();
+  row_.push_back(static_cast<int>(atom_id));
+  row_.push_back(static_cast<int>(static_cast<std::uint32_t>(mask)));
+  row_.push_back(static_cast<int>(static_cast<std::uint32_t>(mask >> 32)));
+  for (const auto& [v, term] : pinned) {
+    row_.push_back(v);
+    row_.push_back(ir::EncodeRowTerm(term));
+  }
+  Disjunct& d = disjuncts_[disjunct];
+  auto [index, inserted] = d.keys.Intern(row_.data(), row_.size());
+  if (inserted) {
+    d.states.push_back({atom_id, mask, std::move(pinned)});
+    d.ids.push_back(nfa_.AddState());
+    owners_.push_back({disjunct, static_cast<int>(index)});
+  }
+  return d.ids[index];
+}
+
+void ThetaWordUnion::AddDisjunct(
+    IrQueryAnalysis query, const std::vector<std::uint32_t>& goal_atom_ids) {
+  const std::size_t disjunct = disjuncts_.size();
+  disjuncts_.emplace_back();
+  disjuncts_.back().query = std::move(query);
+  disjuncts_.back().accept = nfa_.AddState();
+  nfa_.SetAccepting(disjuncts_.back().accept);
+  owners_.push_back({disjunct, -1});
+  const IrQueryAnalysis& ir_query = disjuncts_.back().query;
+  const QueryAnalysis& base = *ir_query.base;
   for (std::uint32_t atom_id : goal_atom_ids) {
-    const ir::TermAtom& root = ctx.atoms[atom_id];
-    if (query.head_args.size() != root.args.size()) continue;
+    const ir::TermAtom& root = ctx_.atoms[atom_id];
+    if (ir_query.head_args.size() != root.args.size()) continue;
     IrPinnedMap pinned;
     std::vector<ir::TermId> head_image(base.vars.size());
     bool ok = true;
     for (std::size_t i = 0; i < root.args.size() && ok; ++i) {
-      std::int32_t from = query.head_args[i];
+      std::int32_t from = ir_query.head_args[i];
       ir::TermId to = root.args[i];
       if (from < 0) {  // constant: images must be the same constant
         ok = to == ir::TermId::Constant(static_cast<std::uint32_t>(~from));
@@ -134,191 +169,61 @@ StatusOr<Nfa> BuildThetaWordAutomatonIr(
         pinned.emplace_back(static_cast<std::int32_t>(v), head_image[v]);
       }
     }
-    int id = intern(atom_id, base.full_mask, std::move(pinned));
-    nfa.SetInitial(id);
+    nfa_.SetInitial(Intern(disjunct, atom_id, base.full_mask,
+                           std::move(pinned)));
   }
-
-  while (!worklist.empty()) {
-    DATALOG_RETURN_IF_ERROR(governor.ChargeSteps(1));
-    if (states.size() > max_states) {
-      return Status(ResourceExhaustedError(
-          StrCat("linear theta automaton exceeded ", max_states,
-                 " states")));
-    }
-    int id = worklist.back();
-    worklist.pop_back();
-    // Copy: `states` may reallocate while we intern successors.
-    State state = states[id - 1];  // state ids start after `accept`
-    for (int symbol : ctx.labels_by_head[state.atom_id]) {
-      const ProgramAlphabet::LabelIr& label = alphabet.label_ir[symbol];
-      int arity = alphabet.arities[symbol];
-      EnumerateForwardAbsorptions(
-          query, state.mask, label.edb_atoms, state.pinned,
-          [&](std::uint64_t beta_prime, const ir::IrSubstitution& images) {
-            if (arity == 0) {
-              // Leaf: everything pending must be absorbed here.
-              if (beta_prime == state.mask) {
-                nfa.AddTransition(id, symbol, accept);
-              }
-              return;
-            }
-            std::uint64_t next_mask = state.mask & ~beta_prime;
-            // Variables still relevant below: pending atoms contain them
-            // and their image is already determined.
-            const Bitset& child_vars = ctx.child_visible[symbol];
-            IrPinnedMap next_pinned;
-            for (std::size_t v = 0; v < base.vars.size(); ++v) {
-              if ((base.atoms_of_var[v] & next_mask) == 0) continue;
-              if (!images[v].valid()) continue;
-              // Visibility (the paper's condition 4): the image must
-              // occur in the child goal to stay connected.
-              if (images[v].is_variable() &&
-                  !child_vars.Test(images[v].index())) {
-                return;  // this absorption cannot continue downward
-              }
-              next_pinned.emplace_back(static_cast<std::int32_t>(v),
-                                       images[v]);
-            }
-            int next =
-                intern(static_cast<std::uint32_t>(ctx.child_atom_id[symbol]),
-                       next_mask, std::move(next_pinned));
-            nfa.AddTransition(id, symbol, next);
-          });
-    }
-  }
-  return nfa;
 }
 
-// ---- the string arm (ablation baseline: the pre-IR construction) -------
-
-// Builds the word automaton for one disjunct over the shared alphabet.
-// States: (goal atom, pending atom mask, pinned images) plus `accept`.
-StatusOr<Nfa> BuildThetaWordAutomaton(
-    const QueryAnalysis& query, const ProgramAlphabet& alphabet,
-    const std::map<std::string, std::vector<int>>& labels_by_head,
-    const std::vector<Atom>& goal_atoms, const ExecutionLimits& limits) {
-  Governor governor(limits, "linear theta automaton");
-  const std::size_t max_states = limits.StatesOr(500'000);
-  Nfa nfa(0, alphabet.num_labels());
-  int accept = nfa.AddState();
-  nfa.SetAccepting(accept);
-
-  struct State {
-    Atom atom;
-    std::uint64_t mask;
-    PinnedMap pinned;
-  };
-  std::vector<State> states;
-  std::map<std::string, int> ids;
-  std::vector<int> worklist;
-  auto intern = [&](Atom atom, std::uint64_t mask, PinnedMap pinned) -> int {
-    std::string key =
-        StrCat(atom.ToString(), "|", mask, "|", PinnedToString(pinned));
-    auto [it, inserted] = ids.emplace(key, -1);
-    if (inserted) {
-      it->second = nfa.AddState();
-      states.push_back({std::move(atom), mask, std::move(pinned)});
-      worklist.push_back(it->second);
-    }
-    return it->second;
-  };
-
-  // Initial states: unify the disjunct's head vector with each goal atom.
-  const ConjunctiveQuery& cq = *query.cq;
-  for (const Atom& root : goal_atoms) {
-    if (cq.head_args().size() != root.args().size()) continue;
-    PinnedMap pinned;
-    std::vector<std::optional<Term>> head_image(query.vars.size());
-    bool ok = true;
-    for (std::size_t i = 0; i < root.args().size() && ok; ++i) {
-      const Term& from = cq.head_args()[i];
-      const Term& to = root.args()[i];
-      if (from.is_constant()) {
-        ok = to.is_constant() && to.name() == from.name();
-        continue;
-      }
-      int v = query.var_ids.at(from.name());
-      if (head_image[v].has_value()) {
-        ok = (*head_image[v] == to);
-      } else {
-        head_image[v] = to;
-      }
-    }
-    if (!ok) continue;
-    // Pin distinguished variables that occur in the body.
-    for (std::size_t v = 0; v < query.vars.size(); ++v) {
-      if (head_image[v].has_value() && query.atoms_of_var[v] != 0) {
-        pinned.emplace_back(static_cast<int>(v), *head_image[v]);
-      }
-    }
-    int id = intern(root, query.full_mask, std::move(pinned));
-    nfa.SetInitial(id);
+Status ThetaWordUnion::Expand(int state) {
+  const Owner owner = owners_[state];
+  if (owner.index < 0) return OkStatus();  // accept states have no edges
+  DATALOG_RETURN_IF_ERROR(governor_.ChargeSteps(1));
+  Disjunct& d = disjuncts_[owner.disjunct];
+  if (d.states.size() > max_states_) {
+    return Status(ResourceExhaustedError(StrCat(
+        "linear theta automaton exceeded ", max_states_, " states")));
   }
-
-  while (!worklist.empty()) {
-    DATALOG_RETURN_IF_ERROR(governor.ChargeSteps(1));
-    if (states.size() > max_states) {
-      return Status(ResourceExhaustedError(
-          StrCat("linear theta automaton exceeded ", max_states,
-                 " states")));
-    }
-    int id = worklist.back();
-    worklist.pop_back();
-    // Copy: `states` may reallocate while we intern successors.
-    State state = states[id - 1];  // state ids start after `accept`
-    auto it = labels_by_head.find(state.atom.ToString());
-    if (it == labels_by_head.end()) continue;
-    for (int symbol : it->second) {
-      const Rule& label = alphabet.Label(symbol);
-      std::vector<const Atom*> edb_atoms;
-      for (std::size_t i = 0; i < label.body().size(); ++i) {
-        bool is_idb = false;
-        for (std::size_t pos : alphabet.label_idb_positions[symbol]) {
-          if (pos == i) is_idb = true;
-        }
-        if (!is_idb) edb_atoms.push_back(&label.body()[i]);
-      }
-      int arity = alphabet.arities[symbol];
-      const Atom* child_goal =
-          arity == 1
-              ? &label.body()[alphabet.label_idb_positions[symbol][0]]
-              : nullptr;
-      EnumerateForwardAbsorptions(
-          query, state.mask, edb_atoms, state.pinned,
-          [&](std::uint64_t beta_prime,
-              const std::vector<std::optional<Term>>& images) {
-            if (arity == 0) {
-              // Leaf: everything pending must be absorbed here.
-              if (beta_prime == state.mask) {
-                nfa.AddTransition(id, symbol, accept);
-              }
-              return;
+  const QueryAnalysis& base = *d.query.base;
+  // Copy: `d.states` may reallocate while we intern successors.
+  const State from = d.states[owner.index];
+  for (int symbol : ctx_.labels_by_head[from.atom_id]) {
+    const ProgramAlphabet::LabelIr& label = alphabet_.label_ir[symbol];
+    const int arity = alphabet_.arities[symbol];
+    EnumerateForwardAbsorptions(
+        d.query, from.mask, label.edb_atoms, from.pinned,
+        [&](std::uint64_t beta_prime, const ir::IrSubstitution& images) {
+          if (arity == 0) {
+            // Leaf: everything pending must be absorbed here.
+            if (beta_prime == from.mask) {
+              nfa_.AddTransition(state, symbol, d.accept);
             }
-            std::uint64_t next_mask = state.mask & ~beta_prime;
-            // Variables still relevant below: pending atoms contain them
-            // and their image is already determined.
-            PinnedMap next_pinned;
-            std::unordered_set<std::string> child_vars;
-            for (const Term& t : child_goal->args()) {
-              if (t.is_variable()) child_vars.insert(t.name());
+            return;
+          }
+          std::uint64_t next_mask = from.mask & ~beta_prime;
+          // Variables still relevant below: pending atoms contain them
+          // and their image is already determined.
+          const Bitset& child_vars = ctx_.child_visible[symbol];
+          IrPinnedMap next_pinned;
+          for (std::size_t v = 0; v < base.vars.size(); ++v) {
+            if ((base.atoms_of_var[v] & next_mask) == 0) continue;
+            if (!images[v].valid()) continue;
+            // Visibility (the paper's condition 4): the image must
+            // occur in the child goal to stay connected.
+            if (images[v].is_variable() &&
+                !child_vars.Test(images[v].index())) {
+              return;  // this absorption cannot continue downward
             }
-            for (std::size_t v = 0; v < query.vars.size(); ++v) {
-              if ((query.atoms_of_var[v] & next_mask) == 0) continue;
-              if (!images[v].has_value()) continue;
-              // Visibility (the paper's condition 4): the image must
-              // occur in the child goal to stay connected.
-              if (images[v]->is_variable() &&
-                  child_vars.count(images[v]->name()) == 0) {
-                return;  // this absorption cannot continue downward
-              }
-              next_pinned.emplace_back(static_cast<int>(v), *images[v]);
-            }
-            int next = intern(*child_goal, next_mask, std::move(next_pinned));
-            nfa.AddTransition(id, symbol, next);
-          });
-    }
+            next_pinned.emplace_back(static_cast<std::int32_t>(v),
+                                     images[v]);
+          }
+          int next = Intern(
+              owner.disjunct,
+              static_cast<std::uint32_t>(ctx_.child_atom_id[symbol]),
+              next_mask, std::move(next_pinned));
+          nfa_.AddTransition(state, symbol, next);
+        });
   }
-  return nfa;
+  return OkStatus();
 }
 
 // Decodes a word over the alphabet into the path proof tree it spells.
@@ -344,7 +249,7 @@ ExpansionTree DecodeWord(const ProgramAlphabet& alphabet,
 
 StatusOr<LinearContainmentResult> DecideLinearDatalogInUcq(
     const Program& program, const std::string& goal, const UnionOfCqs& theta,
-    const LinearContainmentOptions& options) {
+    const LinearContainmentOptions& options, const LinearSearch& search) {
   // Goal-directed pruning first: unreachable rules label no goal-rooted
   // path, so everything below — including the linearity check — runs on
   // the reachable fragment.
@@ -358,127 +263,66 @@ StatusOr<LinearContainmentResult> DecideLinearDatalogInUcq(
         "program is not linear (a rule has more than one IDB subgoal)"));
   }
   ProgramAlphabet alphabet;
-  DATALOG_ASSIGN_OR_RETURN(
-      alphabet, BuildProgramAlphabet(prog, options.limits, options.use_ir));
+  DATALOG_ASSIGN_OR_RETURN(alphabet,
+                           BuildProgramAlphabet(prog, options.limits));
 
   LinearContainmentResult result;
   result.alphabet_size = alphabet.num_labels();
 
-  // A^ptrees as a word automaton: states are the IDB atoms, words read the
-  // labels from the root to the leaf.
+  // A^ptrees as a word automaton: states are the IDB atoms (atom id + 1,
+  // after `accept`), words read the labels from the root to the leaf.
   Nfa ptrees(0, alphabet.num_labels());
   int accept = ptrees.AddState();
   ptrees.SetAccepting(accept);
-
-  LinearIrContext ctx;                              // IR arm
-  std::map<std::string, int> atom_ids;              // string arm
-  std::vector<Atom> state_atoms;                    // string arm
-  std::map<std::string, std::vector<int>> labels_by_head;  // string arm
-  std::vector<Atom> goal_atoms;                     // string arm
-  std::vector<std::uint32_t> goal_atom_ids;         // IR arm
-
-  if (options.use_ir) {
-    // Keeps the NFA's state count aligned with the interned atoms before
-    // any transition references them (atom id + 1, after `accept`).
-    auto grow_states = [&]() {
-      while (static_cast<std::size_t>(ptrees.num_states()) <
-             ctx.atoms.size() + 1) {
-        ptrees.AddState();
-      }
-    };
-    for (std::size_t symbol = 0; symbol < alphabet.num_labels(); ++symbol) {
-      const ProgramAlphabet::LabelIr& label = alphabet.label_ir[symbol];
-      ir::TermAtom head;
-      head.predicate = label.head_pred;
-      head.args = label.head_args;
-      std::uint32_t head_id = ctx.InternAtom(head);
-      ctx.labels_by_head[head_id].push_back(static_cast<int>(symbol));
-      if (alphabet.arities[symbol] == 0) {
-        ctx.child_atom_id.push_back(-1);
-        ctx.child_visible.emplace_back();
-        grow_states();
-        ptrees.AddTransition(static_cast<int>(head_id) + 1,
-                             static_cast<int>(symbol), accept);
-      } else {
-        std::uint32_t child_id = ctx.InternAtom(label.idb_atoms[0]);
-        ctx.child_atom_id.push_back(static_cast<int>(child_id));
-        Bitset visible(alphabet.proof_vars.size());
-        for (ir::TermId t : label.idb_atoms[0].args) {
-          if (t.is_variable()) visible.Set(t.index());
-        }
-        ctx.child_visible.push_back(std::move(visible));
-        grow_states();
-        ptrees.AddTransition(static_cast<int>(head_id) + 1,
-                             static_cast<int>(symbol),
-                             static_cast<int>(child_id) + 1);
-      }
+  LinearIrContext ctx;
+  // Keeps the NFA's state count aligned with the interned atoms before
+  // any transition references them.
+  auto grow_states = [&]() {
+    while (static_cast<std::size_t>(ptrees.num_states()) <
+           ctx.atoms.size() + 1) {
+      ptrees.AddState();
     }
-    std::uint32_t goal_pred = alphabet.predicates.Find(goal);
-    for (std::uint32_t atom_id = 0; atom_id < ctx.atoms.size(); ++atom_id) {
-      if (goal_pred != ir::NameDictionary::kNotFound &&
-          static_cast<std::uint32_t>(ctx.atoms[atom_id].predicate) ==
-              goal_pred) {
-        ptrees.SetInitial(static_cast<int>(atom_id) + 1);
-        goal_atom_ids.push_back(atom_id);
+  };
+  for (std::size_t symbol = 0; symbol < alphabet.num_labels(); ++symbol) {
+    const ProgramAlphabet::LabelIr& label = alphabet.label_ir[symbol];
+    ir::TermAtom head;
+    head.predicate = label.head_pred;
+    head.args = label.head_args;
+    std::uint32_t head_id = ctx.InternAtom(head);
+    ctx.labels_by_head[head_id].push_back(static_cast<int>(symbol));
+    if (alphabet.arities[symbol] == 0) {
+      ctx.child_atom_id.push_back(-1);
+      ctx.child_visible.emplace_back();
+      grow_states();
+      ptrees.AddTransition(static_cast<int>(head_id) + 1,
+                           static_cast<int>(symbol), accept);
+    } else {
+      std::uint32_t child_id = ctx.InternAtom(label.idb_atoms[0]);
+      ctx.child_atom_id.push_back(static_cast<int>(child_id));
+      Bitset visible(alphabet.proof_vars.size());
+      for (ir::TermId t : label.idb_atoms[0].args) {
+        if (t.is_variable()) visible.Set(t.index());
       }
+      ctx.child_visible.push_back(std::move(visible));
+      grow_states();
+      ptrees.AddTransition(static_cast<int>(head_id) + 1,
+                           static_cast<int>(symbol),
+                           static_cast<int>(child_id) + 1);
     }
-  } else {
-    auto atom_state = [&](const Atom& atom) {
-      auto [it, inserted] = atom_ids.emplace(atom.ToString(), -1);
-      if (inserted) {
-        it->second = ptrees.AddState();
-        state_atoms.push_back(atom);
-      }
-      return it->second;
-    };
-    for (std::size_t symbol = 0; symbol < alphabet.num_labels(); ++symbol) {
-      const Rule& label = alphabet.Label(symbol);
-      int from = atom_state(label.head());
-      labels_by_head[label.head().ToString()].push_back(
-          static_cast<int>(symbol));
-      if (alphabet.arities[symbol] == 0) {
-        ptrees.AddTransition(from, static_cast<int>(symbol), accept);
-      } else {
-        int to =
-            atom_state(label.body()[alphabet.label_idb_positions[symbol][0]]);
-        ptrees.AddTransition(from, static_cast<int>(symbol), to);
-      }
-    }
-    for (const Atom& atom : state_atoms) {
-      if (atom.predicate() == goal) {
-        ptrees.SetInitial(atom_ids.at(atom.ToString()));
-        goal_atoms.push_back(atom);
-      }
+  }
+  std::vector<std::uint32_t> goal_atom_ids;
+  std::uint32_t goal_pred = alphabet.predicates.Find(goal);
+  for (std::uint32_t atom_id = 0; atom_id < ctx.atoms.size(); ++atom_id) {
+    if (goal_pred != ir::NameDictionary::kNotFound &&
+        static_cast<std::uint32_t>(ctx.atoms[atom_id].predicate) ==
+            goal_pred) {
+      ptrees.SetInitial(static_cast<int>(atom_id) + 1);
+      goal_atom_ids.push_back(atom_id);
     }
   }
   result.ptrees_states = ptrees.num_states();
 
-  // Union of the disjuncts' word automata.
-  std::optional<Nfa> union_automaton;
-  for (const ConjunctiveQuery& disjunct : theta.disjuncts()) {
-    StatusOr<QueryAnalysis> analysis = AnalyzeQuery(disjunct);
-    if (!analysis.ok()) return analysis.status();
-    StatusOr<Nfa> theta_nfa =
-        options.use_ir
-            ? [&]() {
-                IrQueryAnalysis ir_query = BuildIrQueryAnalysis(
-                    *analysis, &alphabet.predicates, &alphabet.constants);
-                return BuildThetaWordAutomatonIr(ir_query, alphabet, ctx,
-                                                 goal_atom_ids,
-                                                 options.limits);
-              }()
-            : BuildThetaWordAutomaton(*analysis, alphabet, labels_by_head,
-                                      goal_atoms, options.limits);
-    if (!theta_nfa.ok()) return theta_nfa.status();
-    result.theta_states += theta_nfa->num_states();
-    if (union_automaton.has_value()) {
-      union_automaton = Nfa::Union(*union_automaton, *theta_nfa);
-    } else {
-      union_automaton = std::move(theta_nfa).value();
-    }
-  }
-
-  if (!union_automaton.has_value()) {
+  if (theta.empty()) {
     result.contained = ptrees.IsEmpty();
     if (!result.contained) {
       result.counterexample = DecodeWord(alphabet, *ptrees.ShortestWord());
@@ -486,12 +330,27 @@ StatusOr<LinearContainmentResult> DecideLinearDatalogInUcq(
     return result;
   }
 
+  // The union of the disjuncts' word automata, expanded by the search.
+  std::deque<QueryAnalysis> analyses;  // the IR queries point into these
+  ThetaWordUnion theta_union(alphabet, ctx, options.limits);
+  for (const ConjunctiveQuery& disjunct : theta.disjuncts()) {
+    analyses.emplace_back();
+    DATALOG_ASSIGN_OR_RETURN(analyses.back(), AnalyzeQuery(disjunct));
+    theta_union.AddDisjunct(
+        BuildIrQueryAnalysis(analyses.back(), &alphabet.predicates,
+                             &alphabet.constants),
+        goal_atom_ids);
+  }
   Nfa::ContainmentOptions containment_options;
   containment_options.antichain = options.antichain;
   containment_options.limits = options.limits;
+  Nfa::Expander expand = [&](int state) { return theta_union.Expand(state); };
   StatusOr<Nfa::ContainmentResult> containment =
-      Nfa::Contains(ptrees, *union_automaton, containment_options);
+      search ? search(ptrees, theta_union.nfa(), expand, containment_options)
+             : Nfa::Contains(ptrees, theta_union.nfa(), containment_options,
+                             expand);
   if (!containment.ok()) return containment.status();
+  result.theta_states = theta_union.nfa().num_states();
   result.contained = containment->contained;
   result.pairs_explored = containment->explored;
   if (!containment->contained) {

@@ -8,10 +8,13 @@
 // becomes an NFA over states (goal atom, pending atom set β, pinned
 // images m) that absorbs θ's atoms greedily down the path; containment is
 // then NFA containment (PSPACE in the automata, Proposition 4.3), decided
-// by the on-the-fly subset construction with antichain pruning.
+// by the on-the-fly subset construction with antichain pruning. The A^θ
+// side is exponential, so its states are built on demand, only as the
+// subset construction reaches them.
 #ifndef DATALOG_EQ_SRC_CONTAINMENT_LINEAR_H_
 #define DATALOG_EQ_SRC_CONTAINMENT_LINEAR_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 
@@ -28,18 +31,12 @@ struct LinearContainmentOptions {
   bool antichain = true;
   /// The governed bounds (src/util/governor.h): deadline, CancelToken,
   /// fault injection, plus the construction caps — `limits.max_states`
-  /// (0 resolves to 500k) for each theta word automaton and
+  /// (0 resolves to 500k) for each disjunct's theta word automaton and
   /// `limits.max_labels` (0 resolves to 2M) for the alphabet, the
   /// pre-governor defaults. The same limits govern the alphabet
-  /// enumeration, the word-automata worklists, and the final NFA
-  /// containment check.
+  /// enumeration, the theta automata's on-demand expansion (one step per
+  /// expanded state), and the NFA containment check.
   ExecutionLimits limits;
-  /// Build the word automata from the alphabet's interned int rows
-  /// (states keyed in a VarKeyTable, absorption on the IR overload of
-  /// EnumerateForwardAbsorptions — no Terms or rendered strings move).
-  /// The string arm is kept as the ablation baseline; both arms build
-  /// identical automata and results (tests/decider_intern_test.cc).
-  bool use_ir = true;
   /// Drop rules not backward-reachable from the goal before the
   /// linearity check and the word-automata constructions
   /// (src/analysis/reachability.h): unreachable rules label no
@@ -55,16 +52,29 @@ struct LinearContainmentResult {
   std::optional<ExpansionTree> counterexample;
   std::size_t alphabet_size = 0;
   std::size_t ptrees_states = 0;
+  /// Theta states materialised by the search: every disjunct's accept
+  /// and initial states, plus the states reached from the ones the search
+  /// expanded. The theta automata are built on demand, so this is at most
+  /// (and usually far below) the size of their eager union.
   std::size_t theta_states = 0;
   /// (state, subset) pairs explored by the NFA containment check.
   std::size_t pairs_explored = 0;
 };
 
+/// The containment search run on the word automata: decides
+/// L(ptrees) ⊆ L(theta), where `theta` is the on-demand union that
+/// `expand_theta` grows (see Nfa::Contains). Null means Nfa::Contains;
+/// tests substitute reference searches.
+using LinearSearch = std::function<StatusOr<Nfa::ContainmentResult>(
+    const Nfa& ptrees, const Nfa& theta, const Nfa::Expander& expand_theta,
+    const Nfa::ContainmentOptions& options)>;
+
 /// Decides Q_Π ⊆ Θ for a linear-in-IDB program (every rule has at most one
 /// IDB subgoal); InvalidArgument otherwise.
 StatusOr<LinearContainmentResult> DecideLinearDatalogInUcq(
     const Program& program, const std::string& goal, const UnionOfCqs& theta,
-    const LinearContainmentOptions& options = LinearContainmentOptions());
+    const LinearContainmentOptions& options = LinearContainmentOptions(),
+    const LinearSearch& search = nullptr);
 
 }  // namespace datalog
 

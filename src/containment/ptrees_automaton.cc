@@ -241,6 +241,16 @@ bool EncodeAtomRow(const ProgramAlphabet& alphabet, const Atom& atom,
   return true;
 }
 
+// True when base^exponent > cap, computed without overflow.
+bool PowerExceeds(std::size_t base, std::size_t exponent, std::size_t cap) {
+  std::size_t power = 1;
+  for (; exponent > 0; --exponent) {
+    if (base != 0 && power > cap / base) return true;
+    power *= base;
+  }
+  return power > cap;
+}
+
 }  // namespace
 
 Atom ProgramAlphabet::DecodeAtom(const ir::TermAtom& atom) const {
@@ -302,6 +312,23 @@ int ProgramAlphabet::SymbolOf(const Rule& instance) const {
 StatusOr<ProgramAlphabet> BuildProgramAlphabet(const Program& program,
                                                const ExecutionLimits& limits,
                                                bool use_ir) {
+  // The instances of one rule are pairwise distinct (every variable's
+  // image shows in the instance), so a rule with more than max_labels
+  // assignments over var(Π) overflows the cap whatever the other rules
+  // add: fail before enumerating. The enumeration would have charged at
+  // least max_labels + 1 steps first; charging them here keeps
+  // cancellation, faults and smaller step budgets reporting as before.
+  const std::size_t max_labels = limits.LabelsOr(2'000'000);
+  const std::size_t num_proof_vars = VarNum(program);
+  for (const Rule& rule : program.rules()) {
+    if (PowerExceeds(num_proof_vars, rule.VariableNames().size(),
+                     max_labels)) {
+      Governor governor(limits, "alphabet enumeration");
+      DATALOG_RETURN_IF_ERROR(governor.ChargeSteps(max_labels + 1));
+      return Status(ResourceExhaustedError(
+          StrCat("alphabet exceeded ", max_labels, " labels")));
+    }
+  }
   return use_ir ? BuildProgramAlphabetIr(program, limits)
                 : BuildProgramAlphabetString(program, limits);
 }

@@ -107,10 +107,13 @@ struct ProgramAlphabet {
 /// Enumerates the full alphabet. `limits` carries the governed bounds
 /// (src/util/governor.h): deadline, CancelToken, fault injection, and the
 /// label cap (`limits.max_labels`, 0 resolving to 2M — the pre-governor
-/// default; beyond it the enumeration fails with ResourceExhausted). The
-/// enumeration polls the governor once per materialized label. `use_ir`
-/// selects the interned (default) or rendered-string label identity; the
-/// alphabets are identical either way (same symbols in the same order).
+/// default; beyond it the enumeration fails with ResourceExhausted). A
+/// rule whose |var(Π)|^|vars(r)| instances alone exceed the cap fails
+/// before anything is enumerated, after one poll charging max_labels + 1
+/// steps. The enumeration polls the governor once per enumerated
+/// instance. `use_ir` selects the interned (default) or rendered-string
+/// label identity; the alphabets are identical either way (same symbols
+/// in the same order).
 StatusOr<ProgramAlphabet> BuildProgramAlphabet(
     const Program& program,
     const ExecutionLimits& limits = ExecutionLimits(), bool use_ir = true);

@@ -18,6 +18,14 @@
 namespace datalog {
 namespace {
 
+// The fact cap counts head-tuple emissions, duplicates included, not
+// distinct facts; the message says so.
+Status FactCapExceeded(std::size_t max_facts) {
+  return ResourceExhaustedError(
+      StrCat("evaluation exceeded ", max_facts,
+             " head-tuple emissions (max_facts counts duplicates too)"));
+}
+
 // A body atom compiled against the dictionaries: the predicate is a dense
 // id, and each argument is either a constant id (>= 0 in `constant`) or a
 // variable slot (index into the binding array, in `variable`).
@@ -700,8 +708,7 @@ class Evaluator {
     serial_ctx_.binding.assign(rule.num_variables, kUnbound);
     if (!MatchBody(rule, plan, 0, delta_atom, delta, &serial_ctx_)) {
       if (!serial_ctx_.abort_status.ok()) return serial_ctx_.abort_status;
-      return ResourceExhaustedError(StrCat("evaluation exceeded ",
-                                           max_facts_, " derived facts"));
+      return FactCapExceeded(max_facts_);
     }
     return OkStatus();
   }
@@ -888,8 +895,7 @@ class Evaluator {
         }
       }
       if (emitted_total_ > max_facts_) {
-        return ResourceExhaustedError(StrCat("evaluation exceeded ",
-                                             max_facts_, " derived facts"));
+        return FactCapExceeded(max_facts_);
       }
 
       // Merge phase 1 (parallel): per-shard dedup. A tuple's shard is a

@@ -68,8 +68,10 @@ struct EvalOptions {
   /// and EvalStats::rounds_saved the avoided rule-round evaluations.
   bool use_strata = true;
   /// The governed bounds (src/util/governor.h): deadline, CancelToken,
-  /// fault injection, and the derived-fact cap (`limits.max_facts`,
-  /// resolving 0 to 50M — the pre-governor `max_derived_facts` default).
+  /// fault injection, and the fact cap (`limits.max_facts`, resolving 0
+  /// to 50M — the pre-governor `max_derived_facts` default). The cap
+  /// counts head-tuple emissions, duplicates included, so a run can fail
+  /// with far fewer distinct facts than the cap.
   /// Both fixpoints poll the governor at deterministic boundaries: the
   /// serial engine before every rule evaluation and every 1024 emissions,
   /// the parallel engine additionally at round starts and task starts —

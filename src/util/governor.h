@@ -156,8 +156,9 @@ struct ExecutionLimits {
   /// automata: explored states/pairs). 0 = unlimited.
   std::uint64_t max_steps = 0;
 
-  // Per-procedure size caps, 0 = procedure default. These subsume the
-  // pre-governor ad-hoc fields (EvalOptions::max_derived_facts,
+  // Per-procedure size caps, 0 = procedure default (`max_facts` counts
+  // the engine's head-tuple emissions, duplicates included). These
+  // subsume the pre-governor ad-hoc fields (EvalOptions::max_derived_facts,
   // ContainmentOptions::max_states, BuildProgramAlphabet's max_labels,
   // NFA/NFTA max_explored, ThetaAutomatonLimits).
   std::uint64_t max_facts = 0;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "src/containment/decider.h"
-#include "src/containment/linear.h"
 #include "src/containment/ptrees_automaton.h"
 #include "src/containment/query_analysis.h"
 #include "src/cq/containment.h"
@@ -319,7 +318,7 @@ TEST(DeciderInternTest, CheckerChargesInterningToFirstDecideOnly) {
   EXPECT_EQ(second->stats.program_ir_builds, 0u);
 }
 
-// --- explicit-automata differentials: ptrees + linear word automata ----
+// --- explicit-automata differentials: the ptrees automaton --------------
 
 TEST(PtreesIrDifferentialTest, AlphabetsAndAutomataAgreeAcrossArms) {
   std::vector<Program> programs;
@@ -388,111 +387,6 @@ TEST(PtreesIrDifferentialTest, LabelLimitAgreesAcrossArms) {
         BuildProgramAlphabet(tc, ExecutionLimits().WithMaxLabels(10), use_ir);
     ASSERT_FALSE(alphabet.ok());
     EXPECT_EQ(alphabet.status().code(), StatusCode::kResourceExhausted);
-  }
-}
-
-TEST(LinearIrDifferentialTest, WordAutomatonArmsAgree) {
-  struct Case {
-    std::string name;
-    Program program;
-    std::string goal;
-    UnionOfCqs theta;
-  };
-  std::vector<Case> cases;
-  {
-    UnionOfCqs t1;
-    t1.Add(MustParseCq("buys(X, Y) :- likes(X, Y)."));
-    t1.Add(MustParseCq("buys(X, Y) :- trendy(X), likes(Z, Y)."));
-    cases.push_back({"buys1", Buys1Program(), "buys", t1});
-    UnionOfCqs t2;
-    t2.Add(MustParseCq("buys(X, Y) :- likes(X, Y)."));
-    t2.Add(MustParseCq("buys(X, Y) :- knows(X, Z), likes(Z, Y)."));
-    cases.push_back({"buys2", Buys2Program(), "buys", t2});
-  }
-  {
-    Program tc = TransitiveClosureProgram("e", "e");
-    cases.push_back({"tc_paths", tc, "p", PathQueries(3)});
-    UnionOfCqs top;
-    top.Add(MustParseCq("p(X, Y) :- ."));
-    cases.push_back({"tc_top", tc, "p", top});
-    UnionOfCqs diag;
-    diag.Add(MustParseCq("p(X, X) :- ."));
-    cases.push_back({"tc_diag", tc, "p", diag});
-    cases.push_back({"tc_empty", tc, "p", UnionOfCqs()});
-  }
-  {
-    Program reach = MustParseProgram(R"(
-      r(X) :- e(root, X).
-      r(X) :- r(Y), e(Y, X).
-    )");
-    UnionOfCqs from_root;
-    from_root.Add(MustParseCq("r(X) :- e(root, X)."));
-    cases.push_back({"constants", reach, "r", from_root});
-  }
-  cases.push_back({"chain2", ChainProgram(2), "p", PathQueries(4)});
-  for (const Case& c : cases) {
-    LinearContainmentOptions ir_arm;
-    ir_arm.use_ir = true;
-    LinearContainmentOptions string_arm;
-    string_arm.use_ir = false;
-    StatusOr<LinearContainmentResult> a =
-        DecideLinearDatalogInUcq(c.program, c.goal, c.theta, ir_arm);
-    StatusOr<LinearContainmentResult> b =
-        DecideLinearDatalogInUcq(c.program, c.goal, c.theta, string_arm);
-    ASSERT_EQ(a.ok(), b.ok()) << c.name;
-    if (!a.ok()) continue;
-    EXPECT_EQ(a->contained, b->contained) << c.name;
-    EXPECT_EQ(a->alphabet_size, b->alphabet_size) << c.name;
-    EXPECT_EQ(a->ptrees_states, b->ptrees_states) << c.name;
-    EXPECT_EQ(a->theta_states, b->theta_states) << c.name;
-    EXPECT_EQ(a->pairs_explored, b->pairs_explored) << c.name;
-    ASSERT_EQ(a->counterexample.has_value(), b->counterexample.has_value())
-        << c.name;
-    if (a->counterexample.has_value()) {
-      EXPECT_EQ(a->counterexample->ToString(), b->counterexample->ToString())
-          << c.name;
-    }
-  }
-}
-
-TEST(LinearIrDifferentialTest, RandomizedExpansionSubsetsAgree) {
-  // Randomized Θs over linear families, mirroring the decider's
-  // randomized differential: the two word-automaton arms must return
-  // byte-identical results on every seed.
-  for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    std::mt19937_64 rng(seed * 2654435761u + 13);
-    std::vector<std::pair<Program, std::string>> families;
-    families.push_back({Buys1Program(), "buys"});
-    families.push_back({TransitiveClosureProgram("e", "e"), "p"});
-    families.push_back({ChainProgram(2), "p"});
-    const auto& [program, goal] = families[seed % families.size()];
-    EnumerateOptions enumerate;
-    enumerate.max_depth = 1 + static_cast<std::size_t>(rng() % 2);
-    enumerate.max_trees = 100;
-    UnionOfCqs expansions = BoundedExpansions(program, goal, enumerate);
-    UnionOfCqs theta;
-    for (const ConjunctiveQuery& disjunct : expansions.disjuncts()) {
-      if (rng() % 2 == 0) theta.Add(disjunct);
-      if (theta.size() >= 4) break;
-    }
-    LinearContainmentOptions ir_arm;
-    ir_arm.use_ir = true;
-    LinearContainmentOptions string_arm;
-    string_arm.use_ir = false;
-    StatusOr<LinearContainmentResult> a =
-        DecideLinearDatalogInUcq(program, goal, theta, ir_arm);
-    StatusOr<LinearContainmentResult> b =
-        DecideLinearDatalogInUcq(program, goal, theta, string_arm);
-    ASSERT_EQ(a.ok(), b.ok()) << "seed " << seed;
-    if (!a.ok()) continue;
-    EXPECT_EQ(a->contained, b->contained) << "seed " << seed;
-    EXPECT_EQ(a->theta_states, b->theta_states) << "seed " << seed;
-    ASSERT_EQ(a->counterexample.has_value(), b->counterexample.has_value())
-        << "seed " << seed;
-    if (a->counterexample.has_value()) {
-      EXPECT_EQ(a->counterexample->ToString(), b->counterexample->ToString())
-          << "seed " << seed;
-    }
   }
 }
 

@@ -180,6 +180,30 @@ TEST(EvalTest, FactLimitTriggersResourceExhausted) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
 }
 
+// max_facts counts head-tuple emissions, duplicates included, and the
+// error says so: 20 emissions of one distinct fact trip a cap of 10, on
+// the serial and the parallel fixpoint alike.
+TEST(EvalTest, FactCapCountsEmissionsAndSaysSo) {
+  Program program = MustParseProgram("p(X) :- e(X, Y), f(Y).");
+  Database db;
+  for (int j = 0; j < 20; ++j) {
+    db.AddFact("e", {"a", StrCat("n", j)});
+    db.AddFact("f", {StrCat("n", j)});
+  }
+  for (int threads : {1, 4}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    options.limits.max_facts = 10;
+    StatusOr<Relation> result = EvaluateGoal(program, "p", db, options);
+    ASSERT_FALSE(result.ok()) << threads << " threads";
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(result.status().message(),
+              "evaluation exceeded 10 head-tuple emissions (max_facts "
+              "counts duplicates too)")
+        << threads << " threads";
+  }
+}
+
 TEST(EvalUcqTest, UnionEvaluatesAllDisjuncts) {
   UnionOfCqs ucq;
   ucq.Add(MustParseCq("q(X, Y) :- e(X, Y)."));

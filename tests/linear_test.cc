@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "src/containment/decider.h"
 #include "src/containment/linear.h"
+#include "src/containment/theta_automaton.h"
 #include "src/corpus/generate.h"
 #include "src/generators/examples.h"
+#include "src/trees/enumerate.h"
 #include "src/trees/strong_mapping.h"
+#include "src/util/strings.h"
 #include "tests/test_util.h"
 
 namespace datalog {
@@ -163,37 +168,186 @@ TEST(LinearDeciderTest, ChainProgramScaling) {
   EXPECT_EQ(result.counterexample->Size(), 3u);  // 2+2+1 edges over 3 nodes
 }
 
-// Pins the breadth-first containment search on the heaviest tc-family
-// shape the seed-1 corpus runs through the linear arm: the step-2 chain
-// stepper against a union of four path queries. The number of explored
-// (state, subset) pairs and the decoded counterexample depend on the
-// order Nfa::Contains visits symbols and successors, so a kernel change
-// that reorders the search fails here; the alphabet and theta sizes pin
-// the input that search runs on.
-TEST(LinearDeciderTest, PinsSearchOnHeaviestCorpusTcInstance) {
+// The heaviest tc-family shape the seed-1 corpus runs through the linear
+// arm: the step-2 chain stepper against a union of four path queries.
+std::optional<corpus::CorpusInstance> HeaviestCorpusTcInstance() {
   corpus::CorpusGenOptions options;
   options.count = 200;
   const std::string stepper = ChainProgram(2).ToString();
-  std::optional<corpus::CorpusInstance> heavy;
   for (corpus::CorpusInstance& instance : corpus::GenerateCorpus(options)) {
     if (instance.program.ToString() == stepper &&
         instance.theta.size() == 4) {
-      heavy = std::move(instance);
-      break;
+      return std::move(instance);
     }
   }
+  return std::nullopt;
+}
+
+// A reference search: every theta state is expanded before the eager
+// Nfa::Contains runs on the full union.
+StatusOr<Nfa::ContainmentResult> ExpandAllThenSearch(
+    const Nfa& ptrees, const Nfa& theta, const Nfa::Expander& expand_theta,
+    const Nfa::ContainmentOptions& options) {
+  for (std::size_t s = 0; s < theta.num_states(); ++s) {
+    Status status = expand_theta(static_cast<int>(s));
+    if (!status.ok()) return status;
+  }
+  return Nfa::Contains(ptrees, theta, options);
+}
+
+// Pins the breadth-first containment search on the heaviest corpus tc
+// instance. The number of explored (state, subset) pairs and the decoded
+// counterexample depend on the order Nfa::Contains visits symbols and
+// successors, so a kernel change that reorders the search fails here;
+// the alphabet and ptrees sizes pin the input that search runs on, and
+// the theta count the states the on-demand union materialises.
+TEST(LinearDeciderTest, PinsSearchOnHeaviestCorpusTcInstance) {
+  std::optional<corpus::CorpusInstance> heavy = HeaviestCorpusTcInstance();
   ASSERT_TRUE(heavy.has_value());
   LinearContainmentResult result =
       MustDecideLinear(heavy->program, heavy->goal, heavy->theta);
   ASSERT_FALSE(result.contained);
   EXPECT_EQ(result.alphabet_size, 4160u);
   EXPECT_EQ(result.ptrees_states, 65u);
-  EXPECT_EQ(result.theta_states, 6348u);
+  EXPECT_EQ(result.theta_states, 5208u);
   EXPECT_EQ(result.pairs_explored, 499u);
   EXPECT_EQ(result.counterexample->ToString(),
             "(p($0, $0)  |  p($0, $0) :- e($0, $1), e($1, $2), p($2, $0).)\n"
             "  (p($2, $0)  |  p($2, $0) :- e($2, $1), e($1, $3), p($3, $0).)\n"
             "    (p($3, $0)  |  p($3, $0) :- e($3, $0).)\n");
+}
+
+// Fully expanded, the on-demand union is the eager union of the
+// disjuncts' automata (6,348 states on this instance), and searching it
+// explores the same pairs and finds the same counterexample.
+TEST(LinearDeciderTest, FullyExpandedUnionMatchesOnDemandSearch) {
+  std::optional<corpus::CorpusInstance> heavy = HeaviestCorpusTcInstance();
+  ASSERT_TRUE(heavy.has_value());
+  LinearContainmentResult on_demand =
+      MustDecideLinear(heavy->program, heavy->goal, heavy->theta);
+  StatusOr<LinearContainmentResult> expanded =
+      DecideLinearDatalogInUcq(heavy->program, heavy->goal, heavy->theta,
+                               LinearContainmentOptions(),
+                               ExpandAllThenSearch);
+  ASSERT_TRUE(expanded.ok()) << expanded.status();
+  EXPECT_EQ(expanded->theta_states, 6348u);
+  EXPECT_LT(on_demand.theta_states, expanded->theta_states);
+  EXPECT_EQ(expanded->pairs_explored, on_demand.pairs_explored);
+  ASSERT_FALSE(expanded->contained);
+  EXPECT_EQ(expanded->counterexample->ToString(),
+            on_demand.counterexample->ToString());
+}
+
+// Cross-algorithm agreement: the on-demand word-automaton search must
+// match the fully expanded reference exactly (verdict, explored pairs,
+// counterexample), and the tree decider and — where `explicit_automata`
+// — the explicit tree automata of Theorem 5.11 must reach the same
+// verdict.
+void ExpectLinearAgrees(const Program& program, const std::string& goal,
+                        const UnionOfCqs& theta, const std::string& label,
+                        bool explicit_automata) {
+  StatusOr<LinearContainmentResult> on_demand =
+      DecideLinearDatalogInUcq(program, goal, theta);
+  StatusOr<LinearContainmentResult> expanded = DecideLinearDatalogInUcq(
+      program, goal, theta, LinearContainmentOptions(), ExpandAllThenSearch);
+  ASSERT_TRUE(on_demand.ok()) << label << ": " << on_demand.status();
+  ASSERT_TRUE(expanded.ok()) << label << ": " << expanded.status();
+  EXPECT_EQ(on_demand->contained, expanded->contained) << label;
+  EXPECT_EQ(on_demand->pairs_explored, expanded->pairs_explored) << label;
+  EXPECT_EQ(on_demand->alphabet_size, expanded->alphabet_size) << label;
+  EXPECT_EQ(on_demand->ptrees_states, expanded->ptrees_states) << label;
+  EXPECT_LE(on_demand->theta_states, expanded->theta_states) << label;
+  ASSERT_EQ(on_demand->counterexample.has_value(),
+            expanded->counterexample.has_value())
+      << label;
+  if (on_demand->counterexample.has_value()) {
+    EXPECT_EQ(on_demand->counterexample->ToString(),
+              expanded->counterexample->ToString())
+        << label;
+    EXPECT_TRUE(ValidateProofTree(program, *on_demand->counterexample).ok())
+        << label;
+    EXPECT_FALSE(
+        AnyDisjunctMapsStrongly(program, *on_demand->counterexample, theta))
+        << label;
+  }
+  StatusOr<ContainmentDecision> via_tree =
+      DecideDatalogInUcq(program, goal, theta);
+  ASSERT_TRUE(via_tree.ok()) << label << ": " << via_tree.status();
+  EXPECT_EQ(via_tree->contained, on_demand->contained) << label;
+  if (explicit_automata) {
+    StatusOr<ExplicitContainmentResult> via_explicit =
+        DecideContainmentViaExplicitAutomata(program, goal, theta);
+    ASSERT_TRUE(via_explicit.ok()) << label << ": " << via_explicit.status();
+    EXPECT_EQ(via_explicit->contained, on_demand->contained) << label;
+  }
+}
+
+TEST(LinearAgreementTest, FixedCasesAgreeAcrossDeciders) {
+  struct Case {
+    std::string name;
+    Program program;
+    std::string goal;
+    UnionOfCqs theta;
+  };
+  std::vector<Case> cases;
+  {
+    UnionOfCqs t1;
+    t1.Add(MustParseCq("buys(X, Y) :- likes(X, Y)."));
+    t1.Add(MustParseCq("buys(X, Y) :- trendy(X), likes(Z, Y)."));
+    cases.push_back({"buys1", Buys1Program(), "buys", t1});
+    UnionOfCqs t2;
+    t2.Add(MustParseCq("buys(X, Y) :- likes(X, Y)."));
+    t2.Add(MustParseCq("buys(X, Y) :- knows(X, Z), likes(Z, Y)."));
+    cases.push_back({"buys2", Buys2Program(), "buys", t2});
+  }
+  {
+    Program tc = TransitiveClosureProgram("e", "e");
+    cases.push_back({"tc_paths", tc, "p", PathQueries(3)});
+    UnionOfCqs top;
+    top.Add(MustParseCq("p(X, Y) :- ."));
+    cases.push_back({"tc_top", tc, "p", top});
+    UnionOfCqs diag;
+    diag.Add(MustParseCq("p(X, X) :- ."));
+    cases.push_back({"tc_diag", tc, "p", diag});
+    cases.push_back({"tc_empty", tc, "p", UnionOfCqs()});
+  }
+  {
+    Program reach = MustParseProgram(R"(
+      r(X) :- e(root, X).
+      r(X) :- r(Y), e(Y, X).
+    )");
+    UnionOfCqs from_root;
+    from_root.Add(MustParseCq("r(X) :- e(root, X)."));
+    cases.push_back({"constants", reach, "r", from_root});
+  }
+  cases.push_back({"chain2", ChainProgram(2), "p", PathQueries(4)});
+  for (const Case& c : cases) {
+    // The explicit tree automata take seconds on chain2's 4,160 labels.
+    ExpectLinearAgrees(c.program, c.goal, c.theta, c.name,
+                       /*explicit_automata=*/c.name != "chain2");
+  }
+}
+
+TEST(LinearAgreementTest, RandomizedExpansionSubsetsAgree) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    std::mt19937_64 rng(seed * 2654435761u + 13);
+    std::vector<std::pair<Program, std::string>> families;
+    families.push_back({Buys1Program(), "buys"});
+    families.push_back({TransitiveClosureProgram("e", "e"), "p"});
+    families.push_back({ChainProgram(2), "p"});
+    const auto& [program, goal] = families[seed % families.size()];
+    EnumerateOptions enumerate;
+    enumerate.max_depth = 1 + static_cast<std::size_t>(rng() % 2);
+    enumerate.max_trees = 100;
+    UnionOfCqs expansions = BoundedExpansions(program, goal, enumerate);
+    UnionOfCqs theta;
+    for (const ConjunctiveQuery& disjunct : expansions.disjuncts()) {
+      if (rng() % 2 == 0) theta.Add(disjunct);
+      if (theta.size() >= 4) break;
+    }
+    ExpectLinearAgrees(program, goal, theta, StrCat("seed ", seed),
+                       /*explicit_automata=*/true);
+  }
 }
 
 }  // namespace

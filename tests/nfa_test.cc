@@ -344,5 +344,105 @@ TEST(NfaTest, WideAlphabetRoundTrips) {
   EXPECT_FALSE(det->Accepts({0, kHigh, kLow}));
 }
 
+// Rebuilds `full` on demand, for Contains' expander: the copy starts with
+// full's initial states, and expanding a copy state adds copies of its
+// original's edges, copying each target (with its accepting flag) the
+// first time one is reached. The copy is `full`'s reachable part with
+// states renamed in discovery order.
+class OnDemandCopy {
+ public:
+  explicit OnDemandCopy(const Nfa& full)
+      : full_(full), copy_(0, full.num_symbols()), ids_(full.num_states(), -1) {
+    for (std::size_t s = 0; s < full.num_states(); ++s) {
+      if (full.IsInitial(static_cast<int>(s))) {
+        copy_.SetInitial(CopyOf(static_cast<int>(s)));
+      }
+    }
+  }
+
+  const Nfa& nfa() const { return copy_; }
+  // Largest number of times any one state was expanded.
+  int max_expansions() const {
+    return expansions_.empty()
+               ? 0
+               : *std::max_element(expansions_.begin(), expansions_.end());
+  }
+
+  Status Expand(int state) {
+    ++expansions_[state];
+    for (const Nfa::Edge& e : full_.Edges(originals_[state])) {
+      copy_.AddTransition(state, e.symbol, CopyOf(e.target));
+    }
+    return OkStatus();
+  }
+
+ private:
+  int CopyOf(int original) {
+    if (ids_[original] < 0) {
+      ids_[original] = copy_.AddState();
+      copy_.SetAccepting(ids_[original], full_.IsAccepting(original));
+      originals_.push_back(original);
+      expansions_.push_back(0);
+    }
+    return ids_[original];
+  }
+
+  const Nfa& full_;
+  Nfa copy_;
+  std::vector<int> ids_;        // by original state; -1 until copied
+  std::vector<int> originals_;  // by copy state
+  std::vector<int> expansions_;  // by copy state
+};
+
+// The on-demand right-hand side must not change the search: verdict,
+// explored pairs and counterexample match the eager Contains on the full
+// automaton, with each state expanded at most once and never more states
+// materialised than the full automaton has.
+TEST(NfaTest, OnDemandContainsMatchesEager) {
+  std::mt19937_64 rng(1313);
+  int contained = 0;
+  int refuted = 0;
+  for (int trial = 0; trial < 150; ++trial) {
+    const int symbols = 1 + static_cast<int>(rng() % 3);
+    const int a_states = 2 + static_cast<int>(rng() % 5);
+    const int b_states = 2 + static_cast<int>(rng() % 9);
+    Nfa a = RandomNfa(rng, a_states, symbols, 0.3);
+    Nfa b = RandomNfa(rng, b_states, symbols, 0.3);
+    for (bool antichain : {true, false}) {
+      Nfa::ContainmentOptions options;
+      options.antichain = antichain;
+      auto eager = Nfa::Contains(a, b, options);
+      OnDemandCopy lazy(b);
+      auto on_demand = Nfa::Contains(
+          a, lazy.nfa(), options, [&](int s) { return lazy.Expand(s); });
+      ASSERT_TRUE(eager.ok() && on_demand.ok()) << "trial " << trial;
+      EXPECT_EQ(on_demand->contained, eager->contained) << "trial " << trial;
+      EXPECT_EQ(on_demand->explored, eager->explored) << "trial " << trial;
+      EXPECT_EQ(on_demand->counterexample, eager->counterexample)
+          << "trial " << trial;
+      EXPECT_LE(lazy.nfa().num_states(), b.num_states()) << "trial " << trial;
+      EXPECT_LE(lazy.max_expansions(), 1) << "trial " << trial;
+      if (antichain) ++(eager->contained ? contained : refuted);
+    }
+  }
+  EXPECT_GE(contained, 20);
+  EXPECT_GE(refuted, 20);
+}
+
+TEST(NfaTest, OnDemandExpansionFailureEndsSearch) {
+  Nfa a = EndsInOne();
+  Nfa b = EvenLength();
+  OnDemandCopy lazy(b);
+  int calls = 0;
+  auto result = Nfa::Contains(
+      a, lazy.nfa(), Nfa::ContainmentOptions(), [&](int s) -> Status {
+        if (++calls == 2) return ResourceExhaustedError("expansion failed");
+        return lazy.Expand(s);
+      });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(calls, 2);
+}
+
 }  // namespace
 }  // namespace datalog

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/containment/ptrees_automaton.h"
 #include "src/generators/examples.h"
 #include "src/trees/enumerate.h"
@@ -24,6 +26,84 @@ TEST(ProgramAlphabetTest, LabelLimitEnforced) {
   StatusOr<ProgramAlphabet> alphabet = BuildProgramAlphabet(SmallTc(), ExecutionLimits().WithMaxLabels(10));
   ASSERT_FALSE(alphabet.ok());
   EXPECT_EQ(alphabet.status().code(), StatusCode::kResourceExhausted);
+}
+
+// A one-rule program: its instances are pairwise distinct, so the rule
+// alone decides whether the alphabet fits under the label cap.
+TEST(ProgramAlphabetTest, RuleAtExactlyTheCapStillEnumerates) {
+  Program program = MustParseProgram("p(X, Y, Z) :- e(X, Y), f(Y, Z).");
+  for (bool use_ir : {true, false}) {
+    StatusOr<ProgramAlphabet> full =
+        BuildProgramAlphabet(program, ExecutionLimits(), use_ir);
+    ASSERT_TRUE(full.ok());
+    const std::size_t n = full->num_labels();
+    const std::size_t v = full->proof_vars.size();
+    ASSERT_EQ(n, v * v * v);
+    StatusOr<ProgramAlphabet> capped =
+        BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(n),
+                             use_ir);
+    ASSERT_TRUE(capped.ok()) << capped.status();
+    ASSERT_EQ(capped->num_labels(), n);
+    for (std::size_t symbol = 0; symbol < n; ++symbol) {
+      EXPECT_EQ(capped->Label(symbol).ToString(),
+                full->Label(symbol).ToString());
+    }
+  }
+}
+
+// One label fewer and the same rule overflows for certain: the cap is
+// checked before enumerating, after one poll, with the same message.
+TEST(ProgramAlphabetTest, OverCapRuleFailsBeforeEnumerating) {
+  Program program = MustParseProgram("p(X, Y, Z) :- e(X, Y), f(Y, Z).");
+  StatusOr<ProgramAlphabet> full = BuildProgramAlphabet(program);
+  ASSERT_TRUE(full.ok());
+  const std::size_t cap = full->num_labels() - 1;
+  for (bool use_ir : {true, false}) {
+    FaultInjector polls;
+    StatusOr<ProgramAlphabet> capped = BuildProgramAlphabet(
+        program, ExecutionLimits().WithMaxLabels(cap).WithFault(&polls),
+        use_ir);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(capped.status().message(),
+              "alphabet exceeded " + std::to_string(cap) + " labels");
+    EXPECT_EQ(polls.polls(), 1u);
+
+    // Faults and smaller step budgets still report first.
+    FaultInjector cancel(FaultInjector::Fault::kCancel, 1);
+    capped = BuildProgramAlphabet(
+        program, ExecutionLimits().WithMaxLabels(cap).WithFault(&cancel),
+        use_ir);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().code(), StatusCode::kCancelled);
+    capped = BuildProgramAlphabet(
+        program, ExecutionLimits().WithMaxLabels(cap).WithMaxSteps(5),
+        use_ir);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().message(),
+              "alphabet enumeration exceeded its step budget of 5");
+  }
+}
+
+// Two rules whose instances add up past the cap but overlap (every
+// instance of the second is one of the first's): the up-front check is
+// per rule, so the alphabet still enumerates.
+TEST(ProgramAlphabetTest, RulesOverflowingOnlyTogetherStillEnumerate) {
+  Program program = MustParseProgram(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, X) :- e(X, X).
+  )");
+  StatusOr<ProgramAlphabet> full = BuildProgramAlphabet(program);
+  ASSERT_TRUE(full.ok());
+  const std::size_t n = full->num_labels();
+  const std::size_t v = full->proof_vars.size();
+  ASSERT_EQ(n, v * v);
+  for (bool use_ir : {true, false}) {
+    StatusOr<ProgramAlphabet> capped = BuildProgramAlphabet(
+        program, ExecutionLimits().WithMaxLabels(n + 1), use_ir);
+    ASSERT_TRUE(capped.ok()) << capped.status();
+    EXPECT_EQ(capped->num_labels(), n);
+  }
 }
 
 TEST(PtreesAutomatonTest, AcceptsExactlyValidProofTrees) {
