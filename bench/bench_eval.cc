@@ -361,24 +361,16 @@ void BM_PlanCacheSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanCacheSteadyState)->Arg(96)->Arg(192);
 
-// --- containment decider memoization baseline -------------------------
+// --- containment decider ----------------------------------------------
 //
-// The decider's perf anchor, mirroring the *Scan ablations above: a deep
-// recursion × multi-disjunct Θ workload where the fixpoint runs many
-// rounds and the combination memo is hammered. Arg(0) is the number of
-// path disjuncts in Θ (a universal disjunct is added so the instance is
-// contained and the fixpoint runs to completion); Arg(1) selects the
-// memoization substrate — 2 = the shared interned IR (TermId pinned
-// images, integer combine/accept steps, renamed-set memo), 1 = interned
-// dense ids with Term-based achieved sets (flat integer memo rows,
-// vector goal store, cached canonical instances), 0 = the string-keyed
-// baseline both replaced (instance.ToString() memo keys, string-keyed
-// goal store, instances re-materialized every round).
-ContainmentOptions DeciderSubstrateOptions(std::int64_t substrate) {
+// The decider's perf anchor: a deep recursion × multi-disjunct Θ
+// workload where the fixpoint runs many rounds and the combination memo
+// is hammered. Arg(0) is the number of path disjuncts in Θ (a universal
+// disjunct is added so the instance is contained and the fixpoint runs
+// to completion).
+ContainmentOptions DeciderBenchOptions() {
   ContainmentOptions options;
   options.track_witness = false;
-  options.use_ir = substrate == 2;
-  options.intern_memo = substrate >= 1;
   return options;
 }
 
@@ -387,7 +379,7 @@ void BM_DeciderNonlinearDeepRecursion(benchmark::State& state) {
   UnionOfCqs theta = PathQueries(static_cast<int>(state.range(0)));
   theta.Add(ConjunctiveQuery(
       {Term::Variable("X"), Term::Variable("Y")}, {}));  // universal CQ
-  ContainmentOptions options = DeciderSubstrateOptions(state.range(1));
+  ContainmentOptions options = DeciderBenchOptions();
   ContainmentStats stats;
   for (auto _ : state) {
     StatusOr<ContainmentDecision> decision =
@@ -399,18 +391,10 @@ void BM_DeciderNonlinearDeepRecursion(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(stats.states_discovered);
   state.counters["memo_hits"] = static_cast<double>(stats.memo_hits);
-  state.counters["sig_rejects"] =
-      static_cast<double>(stats.subset_sig_rejects);
   state.counters["rename_hits"] =
       static_cast<double>(stats.rename_memo_hits);
 }
-BENCHMARK(BM_DeciderNonlinearDeepRecursion)
-    ->Args({2, 2})
-    ->Args({2, 1})
-    ->Args({2, 0})
-    ->Args({3, 2})
-    ->Args({3, 1})
-    ->Args({3, 0});
+BENCHMARK(BM_DeciderNonlinearDeepRecursion)->Arg(2)->Arg(3);
 
 // Linear variant with a wider recursive rule: the canonical-instance
 // space is larger (more rule variables), so the cross-round instance
@@ -420,7 +404,7 @@ void BM_DeciderDeepChainMultiDisjunct(benchmark::State& state) {
   UnionOfCqs theta = PathQueries(static_cast<int>(state.range(0)));
   theta.Add(ConjunctiveQuery(
       {Term::Variable("X"), Term::Variable("Y")}, {}));  // universal CQ
-  ContainmentOptions options = DeciderSubstrateOptions(state.range(1));
+  ContainmentOptions options = DeciderBenchOptions();
   ContainmentStats stats;
   for (auto _ : state) {
     StatusOr<ContainmentDecision> decision =
@@ -432,28 +416,20 @@ void BM_DeciderDeepChainMultiDisjunct(benchmark::State& state) {
   }
   state.counters["states"] = static_cast<double>(stats.states_discovered);
   state.counters["memo_hits"] = static_cast<double>(stats.memo_hits);
-  state.counters["sig_rejects"] =
-      static_cast<double>(stats.subset_sig_rejects);
   state.counters["rename_hits"] =
       static_cast<double>(stats.rename_memo_hits);
 }
-BENCHMARK(BM_DeciderDeepChainMultiDisjunct)
-    ->Args({3, 2})
-    ->Args({3, 1})
-    ->Args({3, 0})
-    ->Args({4, 2})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_DeciderDeepChainMultiDisjunct)->Arg(3)->Arg(4);
 
 // Non-contained variant: transitive closure against bounded path unions,
 // where the decider must discover the escaping proof tree. Checker reuse
-// across Decide calls (boundedness-style drivers) is part of what the
-// interned substrate buys, so each iteration decides the same Θ through
-// one reused checker three times.
+// across Decide calls (boundedness-style drivers) is part of the
+// workload, so each iteration decides the same Θ through one reused
+// checker three times.
 void BM_DeciderTcPathsCheckerReuse(benchmark::State& state) {
   Program tc = TransitiveClosureProgram("e", "e");
   UnionOfCqs paths = PathQueries(static_cast<int>(state.range(0)));
-  ContainmentOptions options = DeciderSubstrateOptions(state.range(1));
+  ContainmentOptions options = DeciderBenchOptions();
   ContainmentStats stats;
   for (auto _ : state) {
     ContainmentChecker checker(tc, "p");
@@ -471,34 +447,24 @@ void BM_DeciderTcPathsCheckerReuse(benchmark::State& state) {
   state.counters["rename_hits"] =
       static_cast<double>(stats.rename_memo_hits);
 }
-BENCHMARK(BM_DeciderTcPathsCheckerReuse)
-    ->Args({5, 2})
-    ->Args({5, 1})
-    ->Args({5, 0})
-    ->Args({7, 2})
-    ->Args({7, 1})
-    ->Args({7, 0});
+BENCHMARK(BM_DeciderTcPathsCheckerReuse)->Arg(5)->Arg(7);
 
-// --- word-parallel bitset substrate (PR 6) -----------------------------
+// --- word-parallel bitset kernels --------------------------------------
 //
 // The decider's achieved sets and the automata containment frontiers
-// run on Bitset/AntichainStore kernels. For the decider, Arg(1) selects
-// the substrate — 1 = bitsets (default), 0 = the Bloom-signature +
-// sorted-vector path they replaced (the ablation arm).
+// run on Bitset/AntichainStore kernels.
 
 // Deep nonlinear recursion drives many achieved sets per goal, so the
 // antichain's subset testing dominates; the word-parallel kernels and
 // the popcount-bucket/fold-signature candidate filter carry the win.
-// Arg(0) is the PathQueries depth; {4, *} is the wide-achieved-set
-// stress case (hundreds of interned pairs per set).
+// Arg(0) is the PathQueries depth; 4 is the wide-achieved-set stress
+// case (hundreds of interned pairs per set).
 void BM_DeciderAchievedAntichain(benchmark::State& state) {
   Program nl = NonlinearTransitiveClosureProgram();
   UnionOfCqs theta = PathQueries(static_cast<int>(state.range(0)));
   theta.Add(ConjunctiveQuery(
       {Term::Variable("X"), Term::Variable("Y")}, {}));  // universal CQ
-  ContainmentOptions options;
-  options.track_witness = false;
-  options.use_bitsets = state.range(1) != 0;
+  ContainmentOptions options = DeciderBenchOptions();
   ContainmentStats stats;
   for (auto _ : state) {
     StatusOr<ContainmentDecision> decision =
@@ -514,13 +480,7 @@ void BM_DeciderAchievedAntichain(benchmark::State& state) {
   state.counters["prunes"] = static_cast<double>(stats.antichain_prunes);
   state.counters["word_ops"] = static_cast<double>(stats.subset_word_ops);
 }
-BENCHMARK(BM_DeciderAchievedAntichain)
-    ->Args({2, 1})
-    ->Args({2, 0})
-    ->Args({3, 1})
-    ->Args({3, 0})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_DeciderAchievedAntichain)->Arg(2)->Arg(3)->Arg(4);
 
 // Self-containment of a dense random NFA: subset frontiers span a large
 // fraction of the state space, so successor-set construction (unions)
@@ -608,23 +568,21 @@ BENCHMARK(BM_NfaContainsWideAlphabet)
     ->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
-// --- explicit automata constructions (PR 4 ports) ----------------------
+// --- explicit automata constructions ----------------------------------
 //
-// The ptrees automaton and the linear word-automaton decider now stamp
-// their labels and states from rule-template int rows through a
-// VarKeyTable; Arg(0) selects the substrate — 1 = interned rows
-// (default), 0 = the rendered-string identity they replaced.
+// The ptrees automaton and the linear word-automaton decider stamp their
+// labels and states from rule-template int rows through a VarKeyTable.
 
 void BM_PtreesAutomaton(benchmark::State& state) {
   // ChainProgram(2): 8 proof variables over a 4-variable recursive rule
   // (8^4 instances) plus the base rule — a mid-size alphabet.
   Program program = ChainProgram(2);
-  const bool use_ir = state.range(0) != 0;
   std::size_t labels = 0;
   std::size_t states = 0;
   for (auto _ : state) {
     StatusOr<PtreesAutomaton> automaton =
-        BuildPtreesAutomaton(program, "p", ExecutionLimits().WithMaxLabels(50'000'000), use_ir);
+        BuildPtreesAutomaton(program, "p",
+                             ExecutionLimits().WithMaxLabels(50'000'000));
     DATALOG_CHECK(automaton.ok());
     labels = automaton->alphabet.num_labels();
     states = automaton->nfta.num_states();
@@ -633,7 +591,7 @@ void BM_PtreesAutomaton(benchmark::State& state) {
   state.counters["alphabet"] = static_cast<double>(labels);
   state.counters["states"] = static_cast<double>(states);
 }
-BENCHMARK(BM_PtreesAutomaton)->Arg(1)->Arg(0);
+BENCHMARK(BM_PtreesAutomaton);
 
 // The linear word-automaton decider end to end (theta_states counts the
 // theta states the search materialised). The Arg is the name the recorded
@@ -677,15 +635,13 @@ BENCHMARK(BM_LinearAlphabetOverCap);
 // --- the §5.3 TM-reduction workload ------------------------------------
 //
 // A heavyweight end-to-end decider instance (the lower-bound reduction on
-// a micro machine); Arg(0) is the memoization substrate as in the
-// BM_Decider* cases above. Tracks how the decider-wide ports (carried IR,
-// interned combination steps) move the hardest workload in the suite.
+// a micro machine), the hardest workload in the suite.
 
 void BM_TmReduction(benchmark::State& state) {
   StatusOr<TmEncoding> encoding =
       EncodeLinearTmContainment(ImmediatelyAcceptingMachine(), 1);
   DATALOG_CHECK(encoding.ok());
-  ContainmentOptions options = DeciderSubstrateOptions(state.range(0));
+  ContainmentOptions options = DeciderBenchOptions();
   options.limits.max_states = 5'000'000;
   std::size_t states = 0;
   for (auto _ : state) {
@@ -698,7 +654,7 @@ void BM_TmReduction(benchmark::State& state) {
   }
   state.counters["decider_states"] = static_cast<double>(states);
 }
-BENCHMARK(BM_TmReduction)->Arg(2)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TmReduction)->Unit(benchmark::kMillisecond);
 
 // --- SCC-stratified evaluation (src/analysis/stratify.h) ---------------
 //

@@ -12,27 +12,6 @@
 #include "src/util/strings.h"
 
 namespace datalog {
-namespace {
-
-// Sorted-vector subset representation, kept for the use_bitsets=false
-// ablation arm of Contains (the word-parallel paths run on Bitset).
-using StateSet = std::vector<int>;  // sorted, unique
-
-StateSet SortedUnique(StateSet set) {
-  std::sort(set.begin(), set.end());
-  set.erase(std::unique(set.begin(), set.end()), set.end());
-  return set;
-}
-
-bool SetContains(const StateSet& set, int state) {
-  return std::binary_search(set.begin(), set.end(), state);
-}
-
-bool IsSubsetOf(const StateSet& a, const StateSet& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-}  // namespace
 
 std::size_t LabeledTree::Size() const {
   std::size_t total = 1;
@@ -299,145 +278,27 @@ StatusOr<Nfta::ContainmentResult> Nfta::Contains(
   // product callbacks abort by returning false and the `!ok` exits report
   // this status ahead of the explored-pair diagnosis.
   Status interrupt = OkStatus();
-  if (options.use_bitsets) {
-    // Word-parallel arm: b-subsets are Bitsets; each a-state keeps its
-    // discovered family in a vector (the product-iteration source, so
-    // entry order matches the ablation arm exactly) indexed by an
-    // AntichainStore whose payloads are per-entry ids, used to mirror
-    // prunes back into the vector. Domination verdicts coincide with the
-    // sorted-vector scans — "covered" is "some discovered subset of the
-    // candidate exists" (antichain) or equality (plain) — so verdicts,
-    // witness trees, and explored counts are byte-identical.
-    struct Entry {
-      Bitset set;
-      LabeledTree witness;
-      std::uint64_t id = 0;
-    };
-    std::vector<std::vector<Entry>> discovered(a.num_states_);
-    std::vector<AntichainStore> stores(
-        a.num_states_, AntichainStore(options.antichain
-                                          ? AntichainStore::Mode::kKeepMinimal
-                                          : AntichainStore::Mode::kExact));
-    Bitset b_finals(b.num_states_);
-    for (std::size_t s = 0; s < b.num_states_; ++s) {
-      if (b.final_[s]) b_finals.Set(s);
-    }
-    std::uint64_t next_id = 0;
-    std::vector<std::uint64_t> pruned;
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      interrupt = governor.Poll();
-      if (!interrupt.ok()) return interrupt;
-      for (const Transition& ta : a.transitions_) {
-        int arity = a.symbol_arity_[ta.symbol];
-        // Choose one discovered entry per child state of ta. The body
-        // below grows and (with antichain pruning) erases
-        // discovered[ta.state], which aliases a child slot whenever the
-        // transition is self-recursive; indexing the live vector across
-        // product iterations would then read freed or reshuffled
-        // storage. Only the aliased slots need a by-value snapshot.
-        std::vector<std::size_t> sizes(arity);
-        bool feasible = true;
-        bool self_recursive = false;
-        for (int i = 0; i < arity; ++i) {
-          sizes[i] = discovered[ta.children[i]].size();
-          if (sizes[i] == 0) feasible = false;
-          if (ta.children[i] == ta.state) self_recursive = true;
-        }
-        if (!feasible && arity > 0) continue;
-        std::vector<Entry> self_snapshot;
-        if (self_recursive) self_snapshot = discovered[ta.state];
-        std::vector<const std::vector<Entry>*> child_entries(arity);
-        for (int i = 0; i < arity; ++i) {
-          child_entries[i] = ta.children[i] == ta.state
-                                 ? &self_snapshot
-                                 : &discovered[ta.children[i]];
-        }
-        bool ok = ForEachProduct(sizes, [&](const std::vector<std::size_t>&
-                                                choice) {
-          // Compute the b-subset over the chosen child subsets.
-          Bitset next(b.num_states_);
-          for (std::size_t index : b.by_symbol_[ta.symbol]) {
-            const Transition& tb = b.transitions_[index];
-            bool applies = true;
-            for (int i = 0; i < arity; ++i) {
-              const Bitset& child_set = (*child_entries[i])[choice[i]].set;
-              if (!child_set.Test(static_cast<std::size_t>(tb.children[i]))) {
-                applies = false;
-                break;
-              }
-            }
-            if (applies) next.Set(static_cast<std::size_t>(tb.state));
-          }
-          if (stores[ta.state].Dominated(next)) return true;
-          interrupt = governor.ChargeSteps(1);
-          if (!interrupt.ok()) return false;
-          if (++result.explored > max_explored) return false;
-          LabeledTree witness;
-          witness.symbol = ta.symbol;
-          for (int i = 0; i < arity; ++i) {
-            witness.children.push_back(
-                (*child_entries[i])[choice[i]].witness);
-          }
-          bool a_accepts = a.final_[ta.state];
-          bool b_accepts = next.Intersects(b_finals);
-          if (a_accepts && !b_accepts) {
-            result.contained = false;
-            result.counterexample = witness;
-            return false;
-          }
-          pruned.clear();
-          const std::uint64_t id = next_id++;
-          stores[ta.state].Insert(next, id, &pruned);
-          if (!pruned.empty()) {
-            // Mirror the store's prunes into the ordered vector; stable
-            // remove_if keeps the surviving order identical to the
-            // ablation arm's erase.
-            auto& entries = discovered[ta.state];
-            entries.erase(
-                std::remove_if(entries.begin(), entries.end(),
-                               [&](const Entry& e) {
-                                 return std::find(pruned.begin(),
-                                                  pruned.end(),
-                                                  e.id) != pruned.end();
-                               }),
-                entries.end());
-          }
-          discovered[ta.state].push_back(
-              {std::move(next), std::move(witness), id});
-          changed = true;
-          return true;
-        });
-        if (!ok) {
-          if (!result.contained) return result;
-          if (!interrupt.ok()) return interrupt;
-          return Status(ResourceExhaustedError(
-              StrCat("tree containment exceeded ", max_explored,
-                     " pairs")));
-        }
-      }
-    }
-    return result;
-  }
-  // Sorted-vector ablation arm (use_bitsets=false): linear pairwise
-  // subset scans over plain vectors, the pre-bitset implementation.
-  // Discovered pairs: per a-state, the b-subsets reachable on a common
-  // tree, with a witness tree each.
+  // b-subsets are Bitsets; each a-state keeps its discovered family in a
+  // vector (the product-iteration source, in discovery order) indexed by
+  // an AntichainStore whose payloads are per-entry ids, used to mirror
+  // prunes back into the vector. "Covered" is "some discovered subset of
+  // the candidate exists" (antichain) or equality (plain).
   struct Entry {
-    StateSet set;
+    Bitset set;
     LabeledTree witness;
+    std::uint64_t id = 0;
   };
   std::vector<std::vector<Entry>> discovered(a.num_states_);
-  auto covered = [&](int state, const StateSet& set) {
-    for (const Entry& e : discovered[state]) {
-      if (options.antichain ? IsSubsetOf(e.set, set) : e.set == set) {
-        return true;
-      }
-    }
-    return false;
-  };
-
+  std::vector<AntichainStore> stores(
+      a.num_states_, AntichainStore(options.antichain
+                                        ? AntichainStore::Mode::kKeepMinimal
+                                        : AntichainStore::Mode::kExact));
+  Bitset b_finals(b.num_states_);
+  for (std::size_t s = 0; s < b.num_states_; ++s) {
+    if (b.final_[s]) b_finals.Set(s);
+  }
+  std::uint64_t next_id = 0;
+  std::vector<std::uint64_t> pruned;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -445,13 +306,12 @@ StatusOr<Nfta::ContainmentResult> Nfta::Contains(
     if (!interrupt.ok()) return interrupt;
     for (const Transition& ta : a.transitions_) {
       int arity = a.symbol_arity_[ta.symbol];
-      // Choose one discovered entry per child state of ta. The body below
-      // grows and (with antichain pruning) erases discovered[ta.state],
-      // which aliases a child slot whenever the transition is
-      // self-recursive; indexing the live vector across product
-      // iterations would then read freed or reshuffled storage. Only the
-      // aliased slots need a by-value snapshot — other children's entry
-      // vectors are not mutated during this transition's product.
+      // Choose one discovered entry per child state of ta. The body
+      // below grows and (with antichain pruning) erases
+      // discovered[ta.state], which aliases a child slot whenever the
+      // transition is self-recursive; indexing the live vector across
+      // product iterations would then read freed or reshuffled
+      // storage. Only the aliased slots need a by-value snapshot.
       std::vector<std::size_t> sizes(arity);
       bool feasible = true;
       bool self_recursive = false;
@@ -472,46 +332,54 @@ StatusOr<Nfta::ContainmentResult> Nfta::Contains(
       bool ok = ForEachProduct(sizes, [&](const std::vector<std::size_t>&
                                               choice) {
         // Compute the b-subset over the chosen child subsets.
-        StateSet next;
+        Bitset next(b.num_states_);
         for (std::size_t index : b.by_symbol_[ta.symbol]) {
           const Transition& tb = b.transitions_[index];
           bool applies = true;
           for (int i = 0; i < arity; ++i) {
-            const StateSet& child_set = (*child_entries[i])[choice[i]].set;
-            if (!SetContains(child_set, tb.children[i])) {
+            const Bitset& child_set = (*child_entries[i])[choice[i]].set;
+            if (!child_set.Test(static_cast<std::size_t>(tb.children[i]))) {
               applies = false;
               break;
             }
           }
-          if (applies) next.push_back(tb.state);
+          if (applies) next.Set(static_cast<std::size_t>(tb.state));
         }
-        next = SortedUnique(std::move(next));
-        if (covered(ta.state, next)) return true;
+        if (stores[ta.state].Dominated(next)) return true;
         interrupt = governor.ChargeSteps(1);
         if (!interrupt.ok()) return false;
         if (++result.explored > max_explored) return false;
         LabeledTree witness;
         witness.symbol = ta.symbol;
         for (int i = 0; i < arity; ++i) {
-          witness.children.push_back((*child_entries[i])[choice[i]].witness);
+          witness.children.push_back(
+              (*child_entries[i])[choice[i]].witness);
         }
         bool a_accepts = a.final_[ta.state];
-        bool b_accepts = std::any_of(next.begin(), next.end(),
-                                     [&b](int s) { return b.final_[s]; });
+        bool b_accepts = next.Intersects(b_finals);
         if (a_accepts && !b_accepts) {
           result.contained = false;
           result.counterexample = witness;
           return false;
         }
-        if (options.antichain) {
+        pruned.clear();
+        const std::uint64_t id = next_id++;
+        stores[ta.state].Insert(next, id, &pruned);
+        if (!pruned.empty()) {
+          // Mirror the store's prunes into the ordered vector; stable
+          // remove_if keeps the survivors in discovery order.
           auto& entries = discovered[ta.state];
-          entries.erase(std::remove_if(entries.begin(), entries.end(),
-                                       [&next](const Entry& e) {
-                                         return IsSubsetOf(next, e.set);
-                                       }),
-                        entries.end());
+          entries.erase(
+              std::remove_if(entries.begin(), entries.end(),
+                             [&](const Entry& e) {
+                               return std::find(pruned.begin(),
+                                                pruned.end(),
+                                                e.id) != pruned.end();
+                             }),
+              entries.end());
         }
-        discovered[ta.state].push_back({std::move(next), std::move(witness)});
+        discovered[ta.state].push_back(
+            {std::move(next), std::move(witness), id});
         changed = true;
         return true;
       });

@@ -91,13 +91,6 @@ class Nfta {
     /// fixpoint polls the governor at every round and every explored
     /// pair.
     ExecutionLimits limits;
-    /// Run the fixpoint on word-parallel Bitset subsets with each
-    /// a-state's discovered family indexed by an AntichainStore
-    /// (src/util/bitset.h). Disabling falls back to sorted-vector subsets
-    /// with linear pairwise scans (ablation baseline; verdicts, witness
-    /// trees, and explored counts are identical either way —
-    /// tests/nfta_test.cc).
-    bool use_bitsets = true;
   };
   struct ContainmentResult {
     bool contained = true;
@@ -108,6 +101,8 @@ class Nfta {
 
   /// Decides T(a) ⊆ T(b) via a bottom-up fixpoint over pairs of an
   /// `a`-state and the subset of `b`-states reachable on the same tree.
+  /// The subsets are word-parallel Bitsets, and each a-state's discovered
+  /// family is indexed by an AntichainStore (src/util/bitset.h).
   static StatusOr<ContainmentResult> Contains(
       const Nfta& a, const Nfta& b, const ContainmentOptions& options);
   static StatusOr<ContainmentResult> Contains(const Nfta& a, const Nfta& b);

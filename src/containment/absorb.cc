@@ -168,23 +168,6 @@ bool IsAchievedSubset(const AchievedSet& a, const AchievedSet& b) {
   return std::includes(b.begin(), b.end(), a.begin(), a.end());
 }
 
-std::uint64_t AchievedPairSignatureBit(const AchievedPair& pair) {
-  std::size_t seed = static_cast<std::size_t>(pair.query);
-  HashCombine(&seed, pair.mask);
-  for (const auto& [v, term] : pair.pinned) {
-    HashCombine(&seed, v);
-    HashCombine(&seed, static_cast<int>(term.kind()));
-    HashCombine(&seed, term.name());
-  }
-  return std::uint64_t{1} << (seed & 63);
-}
-
-std::uint64_t AchievedSetSignature(const AchievedSet& set) {
-  std::uint64_t sig = 0;
-  for (const AchievedPair& pair : set) sig |= AchievedPairSignatureBit(pair);
-  return sig;
-}
-
 void CombineAtNode(const std::vector<QueryAnalysis>& queries,
                    const Rule& instance,
                    const std::vector<const Atom*>& edb_atoms,
@@ -281,26 +264,6 @@ void InsertPair(IrAchievedSet* set, IrAchievedPair pair) {
   auto it = std::lower_bound(set->begin(), set->end(), pair);
   if (it != set->end() && *it == pair) return;
   set->insert(it, std::move(pair));
-}
-
-bool IsAchievedSubset(const IrAchievedSet& a, const IrAchievedSet& b) {
-  return std::includes(b.begin(), b.end(), a.begin(), a.end());
-}
-
-std::uint64_t AchievedPairSignatureBit(const IrAchievedPair& pair) {
-  std::size_t seed = static_cast<std::size_t>(pair.query);
-  HashCombine(&seed, pair.mask);
-  for (const auto& [v, term] : pair.pinned) {
-    HashCombine(&seed, v);
-    HashCombine(&seed, term.raw());
-  }
-  return std::uint64_t{1} << (seed & 63);
-}
-
-std::uint64_t AchievedSetSignature(const IrAchievedSet& set) {
-  std::uint64_t sig = 0;
-  for (const IrAchievedPair& pair : set) sig |= AchievedPairSignatureBit(pair);
-  return sig;
 }
 
 void CombineAtNode(const std::vector<IrQueryAnalysis>& queries,

@@ -14,6 +14,15 @@
 // pairs achievable at the parent, i.e. the transition relation of
 // Proposition 5.10 read bottom-up (conditions 1-4 of the paper map to the
 // partition/consistency/visibility checks here).
+//
+// The machinery comes in two encodings with identical semantics. The
+// Term-level one (AchievedPair, CombineAtNode over a Rule, RootAccepts
+// over an Atom) is called only by the independent certificate verifier
+// (src/corpus/verify.cc) and the explicit A^θ construction
+// (theta_automaton.cc); it shares no interning with the deciders, which
+// is what makes the verifier an independent oracle. The IR encoding
+// (IrAchievedPair and friends, below) is what the on-the-fly decider and
+// the linear word-automaton arm run on.
 #ifndef DATALOG_EQ_SRC_CONTAINMENT_ABSORB_H_
 #define DATALOG_EQ_SRC_CONTAINMENT_ABSORB_H_
 
@@ -65,21 +74,6 @@ void InsertPair(AchievedSet* set, AchievedPair pair);
 /// True if every pair of `a` also occurs in `b` (both sorted).
 bool IsAchievedSubset(const AchievedSet& a, const AchievedSet& b);
 
-/// Order-independent 64-bit Bloom signature of an achieved set: every pair
-/// hashes to one of 64 bits and the signature is their union. Because
-/// a ⊆ b implies Signature(a) & ~Signature(b) == 0, the decider's
-/// antichain maintenance — which runs pairwise subset tests against every
-/// retained state of a goal — can reject most candidates with one AND
-/// instead of a merge scan.
-std::uint64_t AchievedPairSignatureBit(const AchievedPair& pair);
-std::uint64_t AchievedSetSignature(const AchievedSet& set);
-
-/// True when the signatures do not refute a ⊆ b (a necessary condition;
-/// confirm with IsAchievedSubset).
-inline bool SignatureMayBeSubset(std::uint64_t sig_a, std::uint64_t sig_b) {
-  return (sig_a & ~sig_b) == 0;
-}
-
 /// One bottom-up combination step at a node labeled with `instance`.
 ///
 /// `queries`: analyses of all disjuncts of Θ.
@@ -128,13 +122,13 @@ bool RootAcceptsQuery(const QueryAnalysis& query, const Atom& root_goal,
 
 // --- the interned IR encoding of the same machinery -------------------
 //
-// The string path above moves Term objects (heap strings) through every
-// bind, compare, and sort. The IR path runs the identical semantics on
-// dense ids: pinned images are ir::TermId (variables are frame-local
-// proof-variable indexes, constants dictionary ids), so homomorphism and
-// consistency checks are single integer compares and an achieved pair is
-// a trivially-copyable span. ContainmentOptions::use_ir selects between
-// them; decisions are byte-identical (tests/decider_intern_test.cc).
+// The Term-level encoding above moves Term objects (heap strings) through
+// every bind, compare, and sort. The IR encoding runs the identical
+// semantics on dense ids: pinned images are ir::TermId (variables are
+// frame-local proof-variable indexes, constants dictionary ids), so
+// homomorphism and consistency checks are single integer compares.
+// tests/decider_agreement_test.cc checks the decider built on it against
+// the explicit automata and against verifier replay of its traces.
 
 /// Pinned exposed-variable images on the IR encoding, sorted by variable
 /// id. The pair is trivially copyable.
@@ -156,23 +150,13 @@ struct IrAchievedPair {
   }
 };
 
-/// Sorted, deduplicated achieved set on the IR encoding. The same
-/// sort-order contract as AchievedSet applies: subset tests are linear
-/// merges, so the set must stay sorted by IrAchievedPair::operator< at
-/// all times.
+/// Sorted, deduplicated achieved set on the IR encoding. InsertPair
+/// binary-searches it, so it must stay sorted by IrAchievedPair::operator<
+/// at all times.
 using IrAchievedSet = std::vector<IrAchievedPair>;
 
 /// Inserts `pair` keeping the set sorted and unique.
 void InsertPair(IrAchievedSet* set, IrAchievedPair pair);
-
-/// True if every pair of `a` also occurs in `b` (both sorted).
-bool IsAchievedSubset(const IrAchievedSet& a, const IrAchievedSet& b);
-
-/// Order-independent 64-bit Bloom signature (IR pairs hash over ids, so
-/// the bit pattern differs from the string path's — only ever compare IR
-/// signatures with IR signatures).
-std::uint64_t AchievedPairSignatureBit(const IrAchievedPair& pair);
-std::uint64_t AchievedSetSignature(const IrAchievedSet& set);
 
 /// An instance-side atom on the IR encoding: predicate dictionary id plus
 /// TermId arguments (variables are proof-variable indexes in the

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -29,46 +26,26 @@
 namespace datalog {
 namespace {
 
-// One discovered (goal, achievable set) state, parameterized over the
-// achieved-set representation (Term-based AchievedSet on the baseline
-// paths, IrAchievedSet on the IR path). The set and witness are
+// One discovered (goal, achievable set) state. The set and witness are
 // immutable once registered and held by shared_ptr: combination snapshots
 // states by value (a self-recursive rule may grow or prune the very entry
 // being iterated), and sharing makes a snapshot O(states), not
 // O(states × set size × subtree size).
-template <typename SetT>
-struct StateEntryT {
-  std::shared_ptr<const SetT> set;
-  std::uint64_t sig = 0;  // AchievedSetSignature(*set)
-  // Exact wide bitset over interned achieved-pair ids — the word-parallel
-  // rendering of *set. Populated only on the bitset path
-  // (use_ir && use_bitsets); empty on the ablation arms.
-  Bitset bits;
+struct StateEntry {
+  std::shared_ptr<const IrAchievedSet> set;
   std::shared_ptr<const ExpansionTree> witness;
   std::uint64_t serial = 0;  // stable identity for combination memoization
 };
 
-template <typename SetT>
-struct GoalEntryT {
-  std::vector<StateEntryT<SetT>> states;
-  // Bitset-path index over `states`: the same achieved sets as exact
-  // bitsets, payloads are state serials so prunes can be mirrored back
-  // into the ordered vector. kKeepMinimal under antichain maintenance,
-  // kExact (pure dedup) otherwise; unused on the ablation arms.
+struct GoalEntry {
+  std::vector<StateEntry> states;
+  // The same achieved sets as exact bitsets over interned achieved-pair
+  // ids; payloads are state serials so prunes can be mirrored back into
+  // the ordered vector. kKeepMinimal under antichain maintenance, kExact
+  // (pure dedup) otherwise.
   AntichainStore antichain;
   bool touched = false;  // Register reached this goal in the current run
 };
-
-using StateEntry = StateEntryT<AchievedSet>;
-using GoalEntry = GoalEntryT<AchievedSet>;
-using IrStateEntry = StateEntryT<IrAchievedSet>;
-using IrGoalEntry = GoalEntryT<IrAchievedSet>;
-
-// Canonical variables are proof variables; their index is their identity
-// on the interned substrate.
-std::size_t CanonicalIndex(const std::string& name) {
-  return ProofVariableIndex(name);
-}
 
 }  // namespace
 
@@ -95,7 +72,7 @@ struct ContainmentChecker::Context {
   // ContainmentOptions::prune_unreachable skip it entirely.
   std::vector<char> rule_reachable;
 
-  // --- interned substrate (the use_ir / intern_memo paths) -------------
+  // --- interned substrate ----------------------------------------------
   // The shared program IR, seeded from the program's *carried* IR
   // (ir::CarriedIr) — so a Program that was already interned by an
   // earlier Decide, a previous checker, or any other IR consumer is
@@ -138,13 +115,11 @@ struct ContainmentChecker::Context {
     std::vector<std::size_t> idb_positions;  // body positions of IDB atoms
   };
 
-  // A materialized canonical instance plus everything ProcessInstance
-  // used to recompute from strings every round: the interned goal ids and
-  // the IR encodings the use_ir combination step runs on (built for every
-  // instance, at integer cost), and the Term-level rendering — the Rule,
-  // the EDB/IDB split as Atoms, the canonicalization bookkeeping — built
-  // lazily only when a run actually needs Terms (the non-IR arms, or
-  // witness tracking on any arm).
+  // A materialized canonical instance: the interned goal ids and the IR
+  // encodings the combination step runs on (built for every instance, at
+  // integer cost), and the Term-level rendering — the Rule and the child
+  // canonicalization bookkeeping — built lazily only when a run tracks
+  // witnesses.
   struct CachedInstance {
     // The class assignment that materialized this instance (classes[i] is
     // the proof-variable index of rule variable slot i); kept so the
@@ -164,16 +139,10 @@ struct ContainmentChecker::Context {
     // The variable of the instance frame each canonical child variable
     // replaced: canonical $k of child j is ir_child_originals[j][k].
     std::vector<std::vector<ir::TermId>> ir_child_originals;
-    // --- lazy Term-level rendering -----------------------------------
-    bool has_strings = false;
+    // --- lazy Term-level rendering (witness construction) ------------
+    bool has_terms = false;
     Rule rule;
-    // Pointers into rule.body()'s heap buffer: stable across moves of the
-    // CachedInstance (moving a Rule transfers the same atom storage).
-    std::vector<const Atom*> edb_atoms;
-    std::vector<Atom> child_goals;
     std::vector<CanonicalAtomInfo> child_canonical;
-    // child_canonical[j].original_vars materialized as variable Terms.
-    std::vector<std::vector<Term>> child_original_terms;
   };
   // Per rule (in ordered_rules order): the encoded template plus the
   // dense ids of its cached instances, in canonical-enumeration order.
@@ -267,7 +236,7 @@ struct ContainmentChecker::Context {
   // Stamps the canonical instance for one class assignment out of the
   // rule template: goal rows, IR atoms, and the child canonicalization
   // all on integers. The Term-level rendering is deferred to
-  // EnsureInstanceStrings.
+  // EnsureInstanceTerms.
   CachedInstance BuildCachedInstance(const RuleTemplate& tpl,
                                      const std::vector<std::size_t>& classes) {
     CachedInstance cached;
@@ -282,10 +251,8 @@ struct ContainmentChecker::Context {
     // Head: instance heads are already canonical — rule variables are
     // numbered in head-first first-occurrence order, so head classes
     // carry canonical indexes exactly as CanonicalizeAtom would assign
-    // them. (The string-keyed path relies on the same fact: it stores
-    // goals under the raw head rendering and looks children up
-    // canonicalized.) Goal rows encode variables $k as -(k+1) and
-    // constants as their non-negative dictionary ids.
+    // them. Goal rows encode variables $k as -(k+1) and constants as
+    // their non-negative dictionary ids.
     cached.ir_head_pred = tpl.head.predicate;
     cached.ir_head_visible = Bitset(proof_vars.size());
     row_scratch.clear();
@@ -344,34 +311,17 @@ struct ContainmentChecker::Context {
   }
 
   // Materializes the Term-level rendering of a cached instance: the Rule
-  // itself, the EDB/IDB split as Atoms, and the canonicalization
-  // bookkeeping. Needed by the non-IR arms (their achieved sets carry
-  // Terms) and by witness construction on every arm; the IR fixpoint with
-  // witness tracking off never calls this.
-  void EnsureInstanceStrings(CachedInstance* cached, const Rule& rule,
-                             const std::vector<std::string>& rule_vars) {
-    if (cached->has_strings) return;
-    Rule instance = InstantiateAssignment(rule, rule_vars, cached->classes);
+  // itself and the child canonicalization bookkeeping, which witness
+  // construction needs. A run with witness tracking off never calls this.
+  void EnsureInstanceTerms(CachedInstance* cached, const Rule& rule,
+                           const std::vector<std::string>& rule_vars) {
+    if (cached->has_terms) return;
+    cached->rule = InstantiateAssignment(rule, rule_vars, cached->classes);
     for (const std::size_t i : cached->idb_positions) {
-      cached->child_goals.push_back(instance.body()[i]);
+      cached->child_canonical.push_back(
+          CanonicalizeAtom(cached->rule.body()[i]));
     }
-    for (const Atom& child : cached->child_goals) {
-      CanonicalAtomInfo info = CanonicalizeAtom(child);
-      std::vector<Term> originals;
-      originals.reserve(info.original_vars.size());
-      for (const std::string& v : info.original_vars) {
-        originals.push_back(Term::Variable(v));
-      }
-      cached->child_original_terms.push_back(std::move(originals));
-      cached->child_canonical.push_back(std::move(info));
-    }
-    cached->rule = std::move(instance);
-    for (const Atom& atom : cached->rule.body()) {
-      if (idb.count(atom.predicate()) == 0) {
-        cached->edb_atoms.push_back(&atom);
-      }
-    }
-    cached->has_strings = true;
+    cached->has_terms = true;
   }
 
   // Scratch buffers for BuildCachedInstance (goal rows and the per-child
@@ -380,12 +330,9 @@ struct ContainmentChecker::Context {
   std::vector<int> canon_scratch;
 };
 
-// One Decide call: the per-Θ fixpoint over (goal, achievable set) states.
-// Three memoization substrates are implemented behind one Register core:
-// the IR path (dense goal/instance ids, integer pinned images, renamed-set
-// memo), the interned path it extends (dense ids but Term-based achieved
-// sets), and the string-keyed baseline both replaced, kept as ablation
-// arms.
+// One Decide call: the per-Θ fixpoint over (goal, achievable set) states,
+// on the interned substrate — dense goal/instance ids, integer pinned
+// images, a renamed-set memo, and exact-bitset antichain maintenance.
 class DeciderRun {
  public:
   DeciderRun(ContainmentChecker::Context* context, const UnionOfCqs& theta,
@@ -408,7 +355,6 @@ class DeciderRun {
       return Status(InvalidArgumentError(
           StrCat("goal predicate ", ctx_.goal, " is not an IDB predicate")));
     }
-    const bool interned_substrate = options_.use_ir || options_.intern_memo;
     ContainmentDecision decision;
     // The interning pass (if Init had to pay one) is charged to the first
     // Decide on this context; later Decides report 0, pinning the
@@ -420,27 +366,20 @@ class DeciderRun {
         if (!reachable) ++decision.stats.rules_pruned;
       }
     }
-    if (interned_substrate) {
-      if (ctx_.rule_caches.empty()) {
-        ctx_.rule_caches.resize(ctx_.ordered_rules.size());
-        for (std::size_t r = 0; r < ctx_.ordered_rules.size(); ++r) {
-          ctx_.rule_caches[r].rule_vars =
-              ctx_.ordered_rules[r]->VariableNames();
-          ctx_.rule_caches[r].tpl = ctx_.BuildRuleTemplate(
-              *ctx_.ordered_rules[r], ctx_.rule_caches[r].rule_vars);
-        }
+    if (ctx_.rule_caches.empty()) {
+      ctx_.rule_caches.resize(ctx_.ordered_rules.size());
+      for (std::size_t r = 0; r < ctx_.ordered_rules.size(); ++r) {
+        ctx_.rule_caches[r].rule_vars = ctx_.ordered_rules[r]->VariableNames();
+        ctx_.rule_caches[r].tpl = ctx_.BuildRuleTemplate(
+            *ctx_.ordered_rules[r], ctx_.rule_caches[r].rule_vars);
       }
-      if (options_.use_ir) {
-        ir_store_.resize(ctx_.goal_keys.size());
-        ir_queries_.reserve(queries_.size());
-        for (const QueryAnalysis& query : queries_) {
-          ir_queries_.push_back(BuildIrQueryAnalysis(
-              query, &ctx_.program_ir->predicates(),
-              &ctx_.program_ir->constants()));
-        }
-      } else {
-        store_.resize(ctx_.goal_keys.size());
-      }
+    }
+    store_.resize(ctx_.goal_keys.size());
+    ir_queries_.reserve(queries_.size());
+    for (const QueryAnalysis& query : queries_) {
+      ir_queries_.push_back(BuildIrQueryAnalysis(
+          query, &ctx_.program_ir->predicates(),
+          &ctx_.program_ir->constants()));
     }
     bool changed = true;
     bool ok = true;
@@ -449,44 +388,30 @@ class DeciderRun {
       ++decision.stats.rounds;
       // Round-boundary poll: a new absorption round never starts after
       // cancellation or past the deadline.
-      ok = PollGovernor();
-      if (ok) {
-        ok = options_.use_ir
-                 ? RunRoundCached(ir_store_, &decision, &changed)
-                 : options_.intern_memo
-                       ? RunRoundCached(store_, &decision, &changed)
-                       : RunRoundString(&decision, &changed);
-      }
+      ok = PollGovernor() && RunRound(&decision, &changed);
     }
+    decision.stats.instances_cached = ctx_.instances.size();
+    HarvestAntichainStats(&decision);
     if (!ok) {
       // Stopped early: a counterexample, a resource limit, or a
       // governor interruption. Either way the stats harvested so far
       // are a consistent partial result — published through
       // options_.partial_stats even when the return is a bare Status.
-      if (interned_substrate) {
-        decision.stats.instances_cached = ctx_.instances.size();
-      }
-      HarvestBitsetStats(&decision);
       ReportStats(decision.stats);
       if (!decision.contained) return decision;
       if (!interrupt_status_.ok()) return interrupt_status_;
       return Status(ResourceExhaustedError(StrCat(
           "containment decider exceeded ", max_states_, " states")));
     }
-    decision.stats.goals_discovered =
-        interned_substrate ? touched_goals_ : string_store_.size();
-    if (interned_substrate) {
-      decision.stats.instances_cached = ctx_.instances.size();
-    }
-    HarvestBitsetStats(&decision);
+    decision.stats.goals_discovered = touched_goals_;
     ReportStats(decision.stats);
-    if (options_.export_trace) {
-      DATALOG_RETURN_IF_ERROR(ExportTrace(&decision));
-    }
+    if (options_.export_trace) ExportTrace(&decision);
     return decision;
   }
 
  private:
+  using CachedInstance = ContainmentChecker::Context::CachedInstance;
+
   // --- governed polling -------------------------------------------------
 
   // Publishes the run's stats through options_.partial_stats (when set):
@@ -556,10 +481,10 @@ class DeciderRun {
     return Atom(std::move(predicate), std::move(args));
   }
 
-  // Decodes an IR achieved set back to Terms. The IR sort order (dense
-  // ids) need not match the Term sort order, so the result is re-sorted
-  // to restore the AchievedSet invariant.
-  AchievedSet DecodeIrSet(const IrAchievedSet& set) const {
+  // Decodes an achieved set back to Terms. The IR sort order (dense ids)
+  // need not match the Term sort order, so the result is re-sorted to
+  // restore the AchievedSet invariant.
+  AchievedSet DecodeSet(const IrAchievedSet& set) const {
     AchievedSet out;
     out.reserve(set.size());
     for (const IrAchievedPair& pair : set) {
@@ -582,48 +507,27 @@ class DeciderRun {
   }
 
   // Exports the converged fixpoint table (see ContainmentOptions::
-  // export_trace). Only the interned substrates index goals densely; the
-  // string-keyed ablation arm stores goals under their rendering and is
-  // not worth a parser here.
-  Status ExportTrace(ContainmentDecision* decision) const {
-    if (!options_.use_ir && !options_.intern_memo) {
-      return InvalidArgumentError(
-          "export_trace requires the interned substrate (use_ir or "
-          "intern_memo)");
-    }
+  // export_trace), one entry per goal with retained states.
+  void ExportTrace(ContainmentDecision* decision) const {
     const std::size_t num_goals = ctx_.goal_keys.size();
     for (std::size_t g = 0; g < num_goals; ++g) {
+      if (g >= store_.size() || store_[g].states.empty()) continue;
       AbsorptionTraceEntry entry;
-      if (options_.use_ir) {
-        if (g >= ir_store_.size() || ir_store_[g].states.empty()) continue;
-        for (const IrStateEntry& state : ir_store_[g].states) {
-          entry.sets.push_back(DecodeIrSet(*state.set));
-        }
-      } else {
-        if (g >= store_.size() || store_[g].states.empty()) continue;
-        for (const StateEntry& state : store_[g].states) {
-          entry.sets.push_back(*state.set);
-        }
+      for (const StateEntry& state : store_[g].states) {
+        entry.sets.push_back(DecodeSet(*state.set));
       }
       entry.goal = DecodeGoalAtom(g);
       decision->trace.push_back(std::move(entry));
     }
-    return OkStatus();
   }
 
-  // --- cached rounds: materialized instances + flat integer memo -------
-  // Shared by the interned (Term sets) and IR (TermId sets) paths; the
-  // store type selects the achieved-set representation.
+  // --- rounds: materialized instances + flat integer memo ---------------
 
-  template <typename SetT>
-  bool RunRoundCached(std::vector<GoalEntryT<SetT>>& goal_store,
-                      ContainmentDecision* decision, bool* changed) {
-    // The Term-level instance rendering is only materialized when this
-    // run moves Terms: always on the Term-set arm, and for witness
-    // construction on the IR arm. The IR fixpoint with witness tracking
-    // off runs on integers end to end.
-    const bool need_strings =
-        !std::is_same<SetT, IrAchievedSet>::value || options_.track_witness;
+  bool RunRound(ContainmentDecision* decision, bool* changed) {
+    // The Term-level instance rendering is only materialized for witness
+    // construction; with witness tracking off the fixpoint runs on
+    // integers end to end.
+    const bool need_terms = options_.track_witness;
     for (std::size_t r = 0; r < ctx_.ordered_rules.size(); ++r) {
       // Goal-directed pruning: a rule whose head predicate cannot reach
       // the goal contributes states only to unreachable goal entries,
@@ -631,13 +535,11 @@ class DeciderRun {
       if (options_.prune_unreachable && !ctx_.rule_reachable[r]) continue;
       ContainmentChecker::Context::RuleCache& cache = ctx_.rule_caches[r];
       for (std::uint32_t id : cache.instance_ids) {
-        if (need_strings) {
-          ctx_.EnsureInstanceStrings(&ctx_.instances[id],
-                                     *ctx_.ordered_rules[r],
-                                     cache.rule_vars);
+        if (need_terms) {
+          ctx_.EnsureInstanceTerms(&ctx_.instances[id],
+                                   *ctx_.ordered_rules[r], cache.rule_vars);
         }
-        if (!ProcessCached(goal_store, ctx_.instances[id], id, decision,
-                           changed)) {
+        if (!ProcessInstance(ctx_.instances[id], id, decision, changed)) {
           return false;
         }
       }
@@ -653,15 +555,15 @@ class DeciderRun {
                 static_cast<std::uint32_t>(ctx_.instances.size());
             ctx_.instances.push_back(
                 ctx_.BuildCachedInstance(cache.tpl, classes));
-            if (need_strings) {
-              ctx_.EnsureInstanceStrings(&ctx_.instances[id],
-                                         *ctx_.ordered_rules[r],
-                                         cache.rule_vars);
+            if (need_terms) {
+              ctx_.EnsureInstanceTerms(&ctx_.instances[id],
+                                       *ctx_.ordered_rules[r],
+                                       cache.rule_vars);
             }
-            goal_store.resize(ctx_.goal_keys.size());
+            store_.resize(ctx_.goal_keys.size());
             cache.instance_ids.push_back(id);
-            return ProcessCached(goal_store, ctx_.instances[id], id,
-                                 decision, changed);
+            return ProcessInstance(ctx_.instances[id], id, decision,
+                                   changed);
           });
       if (!finished) return false;
       cache.complete = true;
@@ -669,30 +571,26 @@ class DeciderRun {
     return true;
   }
 
-  template <typename SetT>
-  bool ProcessCached(std::vector<GoalEntryT<SetT>>& goal_store,
-                     const ContainmentChecker::Context::CachedInstance& inst,
-                     std::uint32_t instance_id, ContainmentDecision* decision,
-                     bool* changed) {
+  bool ProcessInstance(const CachedInstance& inst, std::uint32_t instance_id,
+                       ContainmentDecision* decision, bool* changed) {
     if (!ChargeInstance()) return false;
     ++decision->stats.combine_calls;
     // Snapshot the states of each child goal by value: Register below may
     // grow or prune the very same GoalEntry when the rule is
     // self-recursive (child canonical goal == parent goal).
-    std::vector<std::vector<StateEntryT<SetT>>> child_states;
+    std::vector<std::vector<StateEntry>> child_states;
     child_states.reserve(inst.child_goal_ids.size());
     for (std::uint32_t goal_id : inst.child_goal_ids) {
-      const GoalEntryT<SetT>& entry = goal_store[goal_id];
+      const GoalEntry& entry = store_[goal_id];
       if (entry.states.empty()) return true;  // no subtree for this child yet
       child_states.push_back(entry.states);
     }
     // Iterate over every choice of one discovered state per child.
     std::vector<std::size_t> sizes;
     sizes.reserve(child_states.size());
-    for (const std::vector<StateEntryT<SetT>>& states : child_states) {
+    for (const std::vector<StateEntry>& states : child_states) {
       sizes.push_back(states.size());
     }
-    const bool is_goal_pred = inst.ir_head_pred == ctx_.goal_pred_id;
     return ForEachProduct(sizes, [&](const std::vector<std::size_t>& choice) {
       if (!PollCombineTick()) return false;
       // Skip combinations already combined in an earlier round: the memo
@@ -711,179 +609,25 @@ class DeciderRun {
         ++decision->stats.memo_hits;
         return true;
       }
-      SetT parent_set;
-      CombineChoice(inst, instance_id, child_states, choice, decision,
-                    &parent_set);
-      GoalEntryT<SetT>& entry = goal_store[inst.head_goal_id];
+      // Renamed child sets come from the per-(instance, child, serial)
+      // memo, and the combination step runs on integer ids.
+      std::vector<const IrAchievedSet*> set_ptrs(child_states.size());
+      for (std::size_t j = 0; j < child_states.size(); ++j) {
+        set_ptrs[j] =
+            RenamedChildSet(instance_id, j, inst.ir_child_originals[j],
+                            child_states[j][choice[j]], decision);
+      }
+      IrAchievedSet parent_set;
+      CombineAtNode(ir_queries_, inst.ir_edb, inst.ir_head_visible, set_ptrs,
+                    &parent_set, &decision->stats.pinned_compares);
+      GoalEntry& entry = store_[inst.head_goal_id];
       if (!entry.touched) {
         entry.touched = true;
         ++touched_goals_;
       }
-      // Root acceptance per achieved-set representation; the generic
-      // lambda discards the branch the representation never takes.
-      auto accepts = [&](const SetT& set) {
-        if constexpr (std::is_same_v<SetT, IrAchievedSet>) {
-          return RootAccepts(ir_queries_, inst.ir_head_args, set,
-                             &decision->stats.pinned_compares);
-        } else {
-          return RootAccepts(queries_, inst.rule.head(), set);
-        }
-      };
-      return Register(entry, is_goal_pred, accepts,
-                      options_.track_witness ? &inst.rule : nullptr,
-                      inst.idb_positions, child_states,
-                      &inst.child_canonical, choice, std::move(parent_set),
-                      decision, changed);
-    });
-  }
-
-  // --- string-keyed round: the pre-interning baseline (ablation arm) --
-
-  bool RunRoundString(ContainmentDecision* decision, bool* changed) {
-    for (std::size_t r = 0; r < ctx_.ordered_rules.size(); ++r) {
-      if (options_.prune_unreachable && !ctx_.rule_reachable[r]) continue;
-      bool ok = ForEachCanonicalInstance(
-          *ctx_.ordered_rules[r], ctx_.proof_vars.size(),
-          [&](const Rule& instance) {
-            return ProcessInstanceString(instance, decision, changed);
-          });
-      if (!ok) return false;
-    }
-    return true;
-  }
-
-  bool ProcessInstanceString(const Rule& instance,
-                             ContainmentDecision* decision, bool* changed) {
-    if (!ChargeInstance()) return false;
-    ++decision->stats.combine_calls;
-    // Split the body into EDB atoms and child goals.
-    std::vector<const Atom*> edb_atoms;
-    std::vector<Atom> child_goals;
-    std::vector<std::size_t> idb_positions;
-    for (std::size_t i = 0; i < instance.body().size(); ++i) {
-      const Atom& atom = instance.body()[i];
-      if (ctx_.idb.count(atom.predicate()) > 0) {
-        child_goals.push_back(atom);
-        idb_positions.push_back(i);
-      } else {
-        edb_atoms.push_back(&atom);
-      }
-    }
-    // Look up the canonical entry for each child goal, snapshotting the
-    // states by value (see ProcessCached).
-    std::vector<std::vector<StateEntry>> child_states;
-    std::vector<CanonicalAtomInfo> child_canonical;
-    std::vector<std::vector<Term>> child_original_terms;
-    for (const Atom& child : child_goals) {
-      CanonicalAtomInfo info = CanonicalizeAtom(child);
-      auto it = string_store_.find(info.atom.ToString());
-      if (it == string_store_.end()) return true;  // no subtree yet
-      child_states.push_back(it->second.states);
-      std::vector<Term> originals;
-      originals.reserve(info.original_vars.size());
-      for (const std::string& v : info.original_vars) {
-        originals.push_back(Term::Variable(v));
-      }
-      child_original_terms.push_back(std::move(originals));
-      child_canonical.push_back(std::move(info));
-    }
-    std::vector<std::size_t> sizes;
-    sizes.reserve(child_states.size());
-    for (const std::vector<StateEntry>& states : child_states) {
-      sizes.push_back(states.size());
-    }
-    const bool is_goal_pred = instance.head().predicate() == ctx_.goal;
-    return ForEachProduct(sizes, [&](const std::vector<std::size_t>& choice) {
-      if (!PollCombineTick()) return false;
-      // Skip combinations already combined in an earlier round.
-      std::string memo_key = instance.ToString();
-      for (std::size_t j = 0; j < child_states.size(); ++j) {
-        memo_key += StrCat("#", child_states[j][choice[j]].serial);
-      }
-      if (!combined_strings_.insert(std::move(memo_key)).second) {
-        ++decision->stats.memo_hits;
-        return true;
-      }
-      AchievedSet parent_set;
-      CombineChoiceString(instance, edb_atoms, child_goals,
-                          child_original_terms, child_states, choice,
-                          &parent_set);
-      GoalEntry& entry = string_store_[instance.head().ToString()];
-      auto accepts = [&](const AchievedSet& set) {
-        return RootAccepts(queries_, instance.head(), set);
-      };
-      return Register(entry, is_goal_pred, accepts, &instance, idb_positions,
-                      child_states, &child_canonical, choice,
+      return Register(entry, inst, child_states, choice,
                       std::move(parent_set), decision, changed);
     });
-  }
-
-  // --- combination steps ----------------------------------------------
-
-  // Term-based combination for the interned (non-IR) path: renames each
-  // chosen child state from its canonical frame into the instance frame
-  // and runs one bottom-up combination step.
-  void CombineChoice(const ContainmentChecker::Context::CachedInstance& inst,
-                     std::uint32_t /*instance_id*/,
-                     const std::vector<std::vector<StateEntry>>& child_states,
-                     const std::vector<std::size_t>& choice,
-                     ContainmentDecision* /*decision*/,
-                     AchievedSet* parent_set) {
-    CombineChoiceString(inst.rule, inst.edb_atoms, inst.child_goals,
-                        inst.child_original_terms, child_states, choice,
-                        parent_set);
-  }
-
-  // IR combination: renamed child sets come from the per-(instance,
-  // child, serial) memo, and the combination step runs on integer ids.
-  void CombineChoice(const ContainmentChecker::Context::CachedInstance& inst,
-                     std::uint32_t instance_id,
-                     const std::vector<std::vector<IrStateEntry>>&
-                         child_states,
-                     const std::vector<std::size_t>& choice,
-                     ContainmentDecision* decision,
-                     IrAchievedSet* parent_set) {
-    std::vector<const IrAchievedSet*> set_ptrs(child_states.size());
-    for (std::size_t j = 0; j < child_states.size(); ++j) {
-      set_ptrs[j] =
-          RenamedChildSet(instance_id, j, inst.ir_child_originals[j],
-                          child_states[j][choice[j]], decision);
-    }
-    CombineAtNode(ir_queries_, inst.ir_edb, inst.ir_head_visible, set_ptrs,
-                  parent_set, &decision->stats.pinned_compares);
-  }
-
-  void CombineChoiceString(
-      const Rule& instance, const std::vector<const Atom*>& edb_atoms,
-      const std::vector<Atom>& child_goals,
-      const std::vector<std::vector<Term>>& child_original_terms,
-      const std::vector<std::vector<StateEntry>>& child_states,
-      const std::vector<std::size_t>& choice, AchievedSet* parent_set) {
-    std::vector<AchievedSet> renamed_sets(child_goals.size());
-    std::vector<const AchievedSet*> set_ptrs(child_goals.size());
-    for (std::size_t j = 0; j < child_goals.size(); ++j) {
-      const StateEntry& state = child_states[j][choice[j]];
-      const std::vector<Term>& originals = child_original_terms[j];
-      AchievedSet renamed;
-      renamed.reserve(state.set->size());
-      for (const AchievedPair& pair : *state.set) {
-        AchievedPair copy = pair;
-        for (auto& [v, term] : copy.pinned) {
-          if (term.is_variable()) {
-            // Canonical variable $k corresponds to originals[k].
-            std::size_t k = CanonicalIndex(term.name());
-            DATALOG_CHECK_LT(k, originals.size());
-            term = originals[k];
-          }
-        }
-        renamed.push_back(std::move(copy));
-      }
-      std::sort(renamed.begin(), renamed.end());
-      renamed_sets[j] = std::move(renamed);
-      set_ptrs[j] = &renamed_sets[j];
-    }
-    CombineAtNode(queries_, instance, edb_atoms, child_goals, set_ptrs,
-                  parent_set);
   }
 
   // The renamed-set memo: a child state's achieved set renamed from its
@@ -894,7 +638,7 @@ class DeciderRun {
   // O(set size) rename+sort into a pointer lookup.
   const IrAchievedSet* RenamedChildSet(
       std::uint32_t instance_id, std::size_t j,
-      const std::vector<ir::TermId>& originals, const IrStateEntry& state,
+      const std::vector<ir::TermId>& originals, const StateEntry& state,
       ContainmentDecision* decision) {
     int row[4] = {static_cast<int>(instance_id), static_cast<int>(j),
                   static_cast<int>(static_cast<std::uint32_t>(state.serial)),
@@ -924,7 +668,7 @@ class DeciderRun {
     return renamed_cache_[index].get();
   }
 
-  // --- achieved-pair interning (bitset path) ---------------------------
+  // --- achieved-pair interning ------------------------------------------
 
   // Maps an IrAchievedPair to its dense bit index: the row is
   // [query, mask_lo, mask_hi, (var, enc(term))...] — variable-width, like
@@ -949,9 +693,8 @@ class DeciderRun {
   // Folds the per-goal AntichainStore counters into the decision stats;
   // called once per Run exit path (the stores are per-run, so the sums
   // are exactly this Decide's work).
-  void HarvestBitsetStats(ContainmentDecision* decision) const {
-    if (!options_.use_ir || !options_.use_bitsets) return;
-    for (const IrGoalEntry& entry : ir_store_) {
+  void HarvestAntichainStats(ContainmentDecision* decision) const {
+    for (const GoalEntry& entry : store_) {
       const AntichainStore::Stats& s = entry.antichain.stats();
       decision->stats.subset_checks += s.subset_checks;
       decision->stats.subset_word_ops += s.word_ops;
@@ -959,123 +702,65 @@ class DeciderRun {
     }
   }
 
-  // --- shared registration core ---------------------------------------
+  // --- registration -----------------------------------------------------
 
-  // Registers a (goal, set) state; returns false to stop everything.
-  // `accepts` runs root acceptance on the set representation;
-  // `witness_rule` and `child_canonical` back witness construction and
-  // may be null/empty when track_witness is off (the IR arm then never
-  // materializes the Term-level instance at all).
-  template <typename SetT, typename AcceptsFn>
-  bool Register(GoalEntryT<SetT>& entry, bool is_goal_pred,
-                const AcceptsFn& accepts, const Rule* witness_rule,
-                const std::vector<std::size_t>& idb_positions,
-                const std::vector<std::vector<StateEntryT<SetT>>>&
-                    child_states,
-                const std::vector<CanonicalAtomInfo>* child_canonical,
-                const std::vector<std::size_t>& choice, SetT set,
+  // Registers the (head goal of `inst`, set) state produced by one choice
+  // of child states; returns false to stop everything (a counterexample
+  // or the state cap).
+  bool Register(GoalEntry& entry, const CachedInstance& inst,
+                const std::vector<std::vector<StateEntry>>& child_states,
+                const std::vector<std::size_t>& choice, IrAchievedSet set,
                 ContainmentDecision* decision, bool* changed) {
-    std::uint64_t sig = 0;
     Bitset bits;
-    bool on_bitset_path = false;
-    if constexpr (std::is_same_v<SetT, IrAchievedSet>) {
-      // The exact-bitset representation exists only on the IR achieved-set
-      // encoding (pairs intern to dense ids); the Term arms always run the
-      // Bloom-signature + merge-scan maintenance below.
-      on_bitset_path = options_.use_bitsets;
+    for (const IrAchievedPair& pair : set) {
+      bits.Set(InternAchievedPair(pair));
     }
-    if (on_bitset_path) {
-      if constexpr (std::is_same_v<SetT, IrAchievedSet>) {
-        for (const IrAchievedPair& pair : set) {
-          bits.Set(InternAchievedPair(pair));
-        }
-        if (entry.states.empty() && entry.antichain.empty() &&
-            !options_.antichain) {
-          entry.antichain = AntichainStore(AntichainStore::Mode::kExact);
-        }
-        // One Insert is the whole maintenance step: it rejects a candidate
-        // some retained subset dominates (kKeepMinimal) or duplicates
-        // (kExact) and prunes retained supersets, handing back their
-        // serials. Domination verdicts coincide with the merge scans below
-        // — pair membership and bit membership are the same relation — so
-        // surviving states, their order, and serial assignment are
-        // byte-identical. No Bloom signature is computed on this path
-        // (state.sig stays 0; subset_sig_rejects is reported 0).
-        pruned_serials_.clear();
-        if (!entry.antichain.Insert(bits, next_serial_, &pruned_serials_)) {
-          return true;  // dominated (antichain) or already known (dedup)
-        }
-        if (!pruned_serials_.empty()) {
-          // Mirror the store's prunes into the ordered state vector;
-          // stable remove_if keeps the surviving order identical to the
-          // ablation arm's erase.
-          entry.states.erase(
-              std::remove_if(entry.states.begin(), entry.states.end(),
-                             [&](const StateEntryT<SetT>& existing) {
-                               return std::find(pruned_serials_.begin(),
-                                                pruned_serials_.end(),
-                                                existing.serial) !=
-                                      pruned_serials_.end();
-                             }),
-              entry.states.end());
-        }
-      }
-    } else {
-      sig = AchievedSetSignature(set);
-      if (options_.antichain) {
-        for (const StateEntryT<SetT>& existing : entry.states) {
-          ++decision->stats.subset_checks;
-          if (!SignatureMayBeSubset(existing.sig, sig)) {
-            ++decision->stats.subset_sig_rejects;
-            continue;
-          }
-          if (IsAchievedSubset(*existing.set, set)) return true;  // dominated
-        }
-        entry.states.erase(
-            std::remove_if(entry.states.begin(), entry.states.end(),
-                           [&](const StateEntryT<SetT>& existing) {
-                             ++decision->stats.subset_checks;
-                             if (!SignatureMayBeSubset(sig, existing.sig)) {
-                               ++decision->stats.subset_sig_rejects;
-                               return false;
-                             }
-                             if (!IsAchievedSubset(set, *existing.set)) {
-                               return false;
-                             }
-                             ++decision->stats.antichain_prunes;
-                             return true;
-                           }),
-            entry.states.end());
-      } else {
-        for (const StateEntryT<SetT>& existing : entry.states) {
-          if (existing.sig == sig && *existing.set == set) {
-            return true;  // already known
-          }
-        }
-      }
+    if (entry.states.empty() && entry.antichain.empty() &&
+        !options_.antichain) {
+      entry.antichain = AntichainStore(AntichainStore::Mode::kExact);
     }
-    StateEntryT<SetT> state;
+    // One Insert is the whole maintenance step: it rejects a candidate
+    // some retained subset dominates (kKeepMinimal) or duplicates
+    // (kExact) and prunes retained supersets, handing back their serials.
+    pruned_serials_.clear();
+    if (!entry.antichain.Insert(std::move(bits), next_serial_,
+                                &pruned_serials_)) {
+      return true;  // dominated (antichain) or already known (dedup)
+    }
+    if (!pruned_serials_.empty()) {
+      // Mirror the store's prunes into the ordered state vector; stable
+      // remove_if keeps the survivors in discovery order.
+      entry.states.erase(
+          std::remove_if(entry.states.begin(), entry.states.end(),
+                         [&](const StateEntry& existing) {
+                           return std::find(pruned_serials_.begin(),
+                                            pruned_serials_.end(),
+                                            existing.serial) !=
+                                  pruned_serials_.end();
+                         }),
+          entry.states.end());
+    }
+    StateEntry state;
     state.serial = next_serial_++;
-    state.set = std::make_shared<const SetT>(std::move(set));
-    state.sig = sig;
-    state.bits = std::move(bits);
+    state.set = std::make_shared<const IrAchievedSet>(std::move(set));
     if (options_.track_witness) {
       ExpansionNode node;
-      node.goal = witness_rule->head();
-      node.rule = *witness_rule;
-      node.idb_positions = idb_positions;
+      node.goal = inst.rule.head();
+      node.rule = inst.rule;
+      node.idb_positions = inst.idb_positions;
       for (std::size_t j = 0; j < child_states.size(); ++j) {
-        const StateEntryT<SetT>& child_state = child_states[j][choice[j]];
+        const StateEntry& child_state = child_states[j][choice[j]];
         // The child witness's root goal is the canonical child goal; embed
         // it into the instance frame by a var(Π) permutation extending
         // canonical-var -> original-var.
+        const std::vector<std::string>& originals =
+            inst.child_canonical[j].original_vars;
         std::vector<std::string> from;
-        for (std::size_t k = 0;
-             k < (*child_canonical)[j].original_vars.size(); ++k) {
+        for (std::size_t k = 0; k < originals.size(); ++k) {
           from.push_back(ProofVariableName(k));
         }
-        Substitution permutation = ExtendToPermutation(
-            from, (*child_canonical)[j].original_vars, ctx_.proof_vars);
+        Substitution permutation =
+            ExtendToPermutation(from, originals, ctx_.proof_vars);
         node.children.push_back(
             RenameTree(*child_state.witness, permutation).root());
       }
@@ -1083,7 +768,9 @@ class DeciderRun {
           std::make_shared<const ExpansionTree>(std::move(node));
     }
     // A new root-goal state must accept, or we have a counterexample.
-    if (is_goal_pred && !accepts(*state.set)) {
+    if (inst.ir_head_pred == ctx_.goal_pred_id &&
+        !RootAccepts(ir_queries_, inst.ir_head_args, *state.set,
+                     &decision->stats.pinned_compares)) {
       decision->contained = false;
       if (options_.track_witness) {
         decision->counterexample = *state.witness;
@@ -1111,32 +798,23 @@ class DeciderRun {
   std::uint64_t combine_ticks_ = 0;
   Status init_error_;
   std::vector<QueryAnalysis> queries_;
-  std::vector<IrQueryAnalysis> ir_queries_;  // parallel to queries_ (IR path)
+  std::vector<IrQueryAnalysis> ir_queries_;  // parallel to queries_
   std::uint64_t next_serial_ = 1;
 
-  // Cached-path per-run state: goal stores indexed by dense goal id (one
-  // per achieved-set representation; only the active one is populated)
-  // and the flat combination memo.
+  // Per-run state: the goal store indexed by dense goal id and the flat
+  // combination memo.
   std::vector<GoalEntry> store_;
-  std::vector<IrGoalEntry> ir_store_;
   std::size_t touched_goals_ = 0;
   VarKeyTable combined_;
   std::vector<int> memo_row_;
-  // Renamed-set memo (IR path): (instance, child position, serial) rows
-  // mapping to the renamed achieved set, alive for the whole run.
+  // Renamed-set memo: (instance, child position, serial) rows mapping to
+  // the renamed achieved set, alive for the whole run.
   VarKeyTable rename_keys_;
   std::vector<std::shared_ptr<const IrAchievedSet>> renamed_cache_;
-  // Achieved-pair id dictionary and scratch buffers (bitset path).
+  // Achieved-pair id dictionary and scratch buffers.
   VarKeyTable pair_keys_;
   std::vector<int> pair_row_;
   std::vector<std::uint64_t> pruned_serials_;
-
-  // String-keyed per-run state. The ablation arm deliberately keeps the
-  // seed's ordered containers (std::map/std::set) so the decider
-  // benchmarks measure exactly the memoization substrate the interned
-  // path replaced; the production path never touches these.
-  std::map<std::string, GoalEntry> string_store_;
-  std::set<std::string> combined_strings_;
 };
 
 ContainmentChecker::ContainmentChecker(Program program, std::string goal)

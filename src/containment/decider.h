@@ -16,6 +16,11 @@
 // (Theorem 5.8); a reachable non-accepting root state yields a concrete
 // counterexample proof tree.
 //
+// The fixpoint runs on the shared interned IR (src/ir/ir.h): goal atoms
+// and canonical rule instances are dense ids, pinned images are
+// ir::TermIds, and each goal's achievable sets are kept as exact bitsets
+// over interned achieved-pair ids in an AntichainStore (src/util/bitset.h).
+//
 // Options: `antichain` keeps only ⊆-minimal achievable sets per goal
 // (acceptance is ⊆-upward-closed and the combine step is monotone, so this
 // is sound and complete); disabling it gives the exact subset
@@ -44,32 +49,6 @@ struct ContainmentOptions {
   bool antichain = true;
   /// Build counterexample proof trees (small cost; disable for benches).
   bool track_witness = true;
-  /// Memoize on the interned dense-id substrate: canonical goal atoms and
-  /// rule instances become dense integer ids, the goal store becomes a
-  /// vector index, and the combination memo becomes flat integer rows in
-  /// an open-addressing table. Disabling falls back to the string-keyed
-  /// memoization (ablation switch; decisions are identical either way —
-  /// see tests/decider_intern_test.cc). Consulted only when use_ir is
-  /// off; the IR path always runs on the interned substrate.
-  bool intern_memo = true;
-  /// Run the achieved-set machinery on the shared interned IR
-  /// (src/ir/ir.h): pinned images are dense ir::TermIds, homomorphism and
-  /// consistency checks are integer compares, and renamed child achieved
-  /// sets are memoized per (instance, child position, state serial)
-  /// across the combination product. Mirrors intern_memo as an ablation
-  /// switch: disabling falls back to the Term/string achieved-set
-  /// representation (then intern_memo picks the memo substrate).
-  /// Decisions are byte-identical either way.
-  bool use_ir = true;
-  /// Represent each state's achieved set additionally as an exact wide
-  /// bitset over interned achieved-pair ids (src/util/bitset.h), and run
-  /// the antichain/dedup maintenance through a per-goal AntichainStore
-  /// instead of pairwise merge scans over every retained state. Consulted
-  /// only when use_ir is on; the string path always runs the
-  /// Bloom-signature + sorted-vector scans. Ablation switch in the
-  /// intern_memo/use_ir mold: decisions, witnesses, and state serials are
-  /// byte-identical either way (tests/decider_bitset_test.cc).
-  bool use_bitsets = true;
   /// Skip rules that are not backward-reachable from the goal predicate
   /// (src/analysis/reachability.h): such a rule can head no subtree of a
   /// goal-rooted proof tree, so the verdict AND the counterexample
@@ -100,8 +79,6 @@ struct ContainmentOptions {
   /// table is an independently checkable witness of containment: it is
   /// closed under the bottom-up combination step and every root state
   /// accepts (src/corpus/verify.h replays exactly that invariant).
-  /// Requires the interned substrate (use_ir or intern_memo); the
-  /// string-keyed ablation arm reports InvalidArgument.
   bool export_trace = false;
 };
 
@@ -112,30 +89,23 @@ struct ContainmentStats {
   /// Combinations skipped because their (instance, child serials) memo row
   /// was already present.
   std::size_t memo_hits = 0;
-  /// Canonical rule instances materialized into the cross-round cache
-  /// (interned path only; 0 on the string-keyed path).
+  /// Canonical rule instances materialized into the cross-round cache.
   std::size_t instances_cached = 0;
-  /// Pairwise achieved-set subset tests run by antichain/dedup
-  /// maintenance, and how many were refuted by the 64-bit Bloom signature
-  /// alone (no merge scan). With the exact-bitset path active
-  /// (use_bitsets, the default) no Bloom signatures are computed at all —
-  /// subset_sig_rejects is reported 0 and subset_checks counts the
-  /// AntichainStore's popcount-plausible candidate pairs instead.
+  /// Candidate achieved-set pairs the per-goal AntichainStore subset-
+  /// tested during antichain/dedup maintenance (the popcount-plausible
+  /// ones; the rest are rejected by popcount alone).
   std::size_t subset_checks = 0;
-  std::size_t subset_sig_rejects = 0;
   /// Retained states evicted because a newly discovered achieved set
-  /// dominated them (antichain maintenance; both representations).
+  /// dominated them (antichain maintenance).
   std::size_t antichain_prunes = 0;
-  /// 64-bit words examined by the bitset path's word-parallel
-  /// subset/equality kernels (0 when use_bitsets is off).
+  /// 64-bit words examined by the word-parallel subset/equality kernels.
   std::size_t subset_word_ops = 0;
   /// Renamed child achieved sets served from the per-(instance, child,
-  /// serial) memo instead of being recomputed (IR path only; the rename
-  /// work used to be re-paid for every combination in the product).
+  /// serial) memo instead of being recomputed (the rename work would
+  /// otherwise be re-paid for every combination in the product).
   std::size_t rename_memo_hits = 0;
-  /// Integer pinned-image comparisons performed by the IR combination and
-  /// root-acceptance steps (each one replaces a Term/string compare on
-  /// the baseline path; 0 when use_ir is off).
+  /// Integer pinned-image comparisons performed by the combination and
+  /// root-acceptance steps.
   std::size_t pinned_compares = 0;
   /// Rules skipped by goal-directed pruning (prune_unreachable): rules of
   /// Π whose head predicate is not backward-reachable from the goal. 0

@@ -78,145 +78,6 @@ void AppendAtomRow(const AlphabetRuleTemplate::AtomTpl& atom,
   }
 }
 
-// The interned-arm alphabet construction: enumerate the |proof_vars|^k
-// assignments of each rule by choice vector (the same depth-first order
-// ForEachInstanceOver visits), stamp the label row from the template, and
-// only materialize Terms for rows the VarKeyTable has not seen.
-StatusOr<ProgramAlphabet> BuildProgramAlphabetIr(
-    const Program& program, const ExecutionLimits& limits) {
-  Governor governor(limits, "alphabet enumeration");
-  const std::size_t max_labels = limits.LabelsOr(2'000'000);
-  Status interrupt = OkStatus();
-  ProgramAlphabet alphabet;
-  alphabet.interned = true;
-  alphabet.proof_vars = ProofVariables(program);
-  std::set<std::string> idb = program.IdbPredicates();
-  auto encode_ir_atom = [&](const AlphabetRuleTemplate::AtomTpl& atom,
-                            const std::vector<std::size_t>& choice) {
-    ir::TermAtom enc;
-    enc.predicate = atom.predicate;
-    enc.args.reserve(atom.args.size());
-    for (std::int32_t arg : atom.args) {
-      enc.args.push_back(
-          arg >= 0
-              ? ir::TermId::Variable(static_cast<std::uint32_t>(choice[arg]))
-              : ir::TermId::Constant(static_cast<std::uint32_t>(~arg)));
-    }
-    return enc;
-  };
-
-  std::vector<int> row;
-  bool overflow = false;
-  for (std::size_t rule_index = 0; rule_index < program.rules().size();
-       ++rule_index) {
-    const Rule& rule = program.rules()[rule_index];
-    AlphabetRuleTemplate tpl = BuildAlphabetTemplate(
-        rule, idb, &alphabet.predicates, &alphabet.constants);
-    std::size_t num_vars = rule.VariableNames().size();
-    std::vector<std::size_t> choice(num_vars, 0);
-    std::function<bool(std::size_t)> recurse =
-        [&](std::size_t index) -> bool {
-      if (index < num_vars) {
-        for (std::size_t c = 0; c < alphabet.proof_vars.size(); ++c) {
-          choice[index] = c;
-          if (!recurse(index + 1)) return false;
-        }
-        return true;
-      }
-      interrupt = governor.ChargeSteps(1);
-      if (!interrupt.ok()) return false;
-      if (alphabet.num_labels() >= max_labels) {
-        overflow = true;
-        return false;
-      }
-      row.clear();
-      AppendAtomRow(tpl.head, choice, &row);
-      for (const AlphabetRuleTemplate::AtomTpl& atom : tpl.body) {
-        AppendAtomRow(atom, choice, &row);
-      }
-      auto [symbol, inserted] = alphabet.label_keys.Intern(row.data(),
-                                                           row.size());
-      if (!inserted) return true;  // duplicate instance
-      DATALOG_CHECK_EQ(static_cast<std::size_t>(symbol),
-                       alphabet.num_labels());
-      // No Term-level label is materialized here: the interned arm keeps
-      // only the IR encoding, and ProgramAlphabet::Label decodes a Rule
-      // through the dictionaries on first demand.
-      ProgramAlphabet::LabelIr label_ir;
-      label_ir.head_pred = tpl.head.predicate;
-      label_ir.head_args = encode_ir_atom(tpl.head, choice).args;
-      for (const AlphabetRuleTemplate::AtomTpl& atom : tpl.body) {
-        if (atom.idb) {
-          label_ir.idb_atoms.push_back(encode_ir_atom(atom, choice));
-        } else {
-          label_ir.edb_atoms.push_back(encode_ir_atom(atom, choice));
-        }
-      }
-      alphabet.arities.push_back(static_cast<int>(tpl.idb_positions.size()));
-      alphabet.label_idb_positions.push_back(tpl.idb_positions);
-      alphabet.label_rule_index.push_back(rule_index);
-      alphabet.label_ir.push_back(std::move(label_ir));
-      return true;
-    };
-    if (!recurse(0)) {
-      if (!interrupt.ok()) return interrupt;
-      if (overflow) {
-        return Status(ResourceExhaustedError(
-            StrCat("alphabet exceeded ", max_labels, " labels")));
-      }
-    }
-  }
-  return alphabet;
-}
-
-// The rendered-string ablation arm (the pre-IR construction, verbatim).
-StatusOr<ProgramAlphabet> BuildProgramAlphabetString(
-    const Program& program, const ExecutionLimits& limits) {
-  Governor governor(limits, "alphabet enumeration");
-  const std::size_t max_labels = limits.LabelsOr(2'000'000);
-  Status interrupt = OkStatus();
-  ProgramAlphabet alphabet;
-  alphabet.proof_vars = ProofVariables(program);
-  std::set<std::string> idb = program.IdbPredicates();
-  bool overflow = false;
-  for (std::size_t rule_index = 0; rule_index < program.rules().size();
-       ++rule_index) {
-    const Rule& rule = program.rules()[rule_index];
-    bool completed = ForEachInstanceOver(
-        rule, alphabet.proof_vars, [&](const Rule& instance) {
-          interrupt = governor.ChargeSteps(1);
-          if (!interrupt.ok()) return false;
-          if (alphabet.eager_labels.size() >= max_labels) {
-            overflow = true;
-            return false;
-          }
-          auto [it, inserted] = alphabet.label_ids.emplace(
-              instance.ToString(),
-              static_cast<int>(alphabet.eager_labels.size()));
-          if (!inserted) return true;  // duplicate instance
-          std::vector<std::size_t> idb_positions;
-          for (std::size_t i = 0; i < instance.body().size(); ++i) {
-            if (idb.count(instance.body()[i].predicate()) > 0) {
-              idb_positions.push_back(i);
-            }
-          }
-          alphabet.arities.push_back(static_cast<int>(idb_positions.size()));
-          alphabet.label_idb_positions.push_back(std::move(idb_positions));
-          alphabet.eager_labels.push_back(instance);
-          alphabet.label_rule_index.push_back(rule_index);
-          return true;
-        });
-    if (!completed) {
-      if (!interrupt.ok()) return interrupt;
-      if (overflow) {
-        return Status(ResourceExhaustedError(
-            StrCat("alphabet exceeded ", max_labels, " labels")));
-      }
-    }
-  }
-  return alphabet;
-}
-
 // Encodes a Term-level atom as a row over the alphabet's dictionaries
 // (lookup only — nothing is interned); false if the atom uses a
 // predicate/constant the alphabet never saw or a non-proof variable.
@@ -253,6 +114,113 @@ bool PowerExceeds(std::size_t base, std::size_t exponent, std::size_t cap) {
 
 }  // namespace
 
+// Enumerates the |proof_vars|^k assignments of each rule by choice vector
+// (the same depth-first order ForEachInstanceOver visits), stamps the
+// label row from the template, and keeps only the IR encoding of rows the
+// VarKeyTable has not seen.
+StatusOr<ProgramAlphabet> BuildProgramAlphabet(const Program& program,
+                                               const ExecutionLimits& limits) {
+  // The instances of one rule are pairwise distinct (every variable's
+  // image shows in the instance), so a rule with more than max_labels
+  // assignments over var(Π) overflows the cap whatever the other rules
+  // add: fail before enumerating. The enumeration would have charged at
+  // least max_labels + 1 steps first; charging them here keeps
+  // cancellation, faults and smaller step budgets reporting as before.
+  const std::size_t max_labels = limits.LabelsOr(2'000'000);
+  const std::size_t num_proof_vars = VarNum(program);
+  for (const Rule& rule : program.rules()) {
+    if (PowerExceeds(num_proof_vars, rule.VariableNames().size(),
+                     max_labels)) {
+      Governor governor(limits, "alphabet enumeration");
+      DATALOG_RETURN_IF_ERROR(governor.ChargeSteps(max_labels + 1));
+      return Status(ResourceExhaustedError(
+          StrCat("alphabet exceeded ", max_labels, " labels")));
+    }
+  }
+  Governor governor(limits, "alphabet enumeration");
+  Status interrupt = OkStatus();
+  ProgramAlphabet alphabet;
+  alphabet.proof_vars = ProofVariables(program);
+  std::set<std::string> idb = program.IdbPredicates();
+  auto encode_ir_atom = [&](const AlphabetRuleTemplate::AtomTpl& atom,
+                            const std::vector<std::size_t>& choice) {
+    ir::TermAtom enc;
+    enc.predicate = atom.predicate;
+    enc.args.reserve(atom.args.size());
+    for (std::int32_t arg : atom.args) {
+      enc.args.push_back(
+          arg >= 0
+              ? ir::TermId::Variable(static_cast<std::uint32_t>(choice[arg]))
+              : ir::TermId::Constant(static_cast<std::uint32_t>(~arg)));
+    }
+    return enc;
+  };
+
+  std::vector<int> row;
+  bool overflow = false;
+  for (std::size_t rule_index = 0; rule_index < program.rules().size();
+       ++rule_index) {
+    const Rule& rule = program.rules()[rule_index];
+    AlphabetRuleTemplate tpl = BuildAlphabetTemplate(
+        rule, idb, &alphabet.predicates, &alphabet.constants);
+    std::size_t num_vars = rule.VariableNames().size();
+    std::vector<std::size_t> choice(num_vars, 0);
+    std::function<bool(std::size_t)> recurse =
+        [&](std::size_t index) -> bool {
+      if (index < num_vars) {
+        for (std::size_t c = 0; c < alphabet.proof_vars.size(); ++c) {
+          choice[index] = c;
+          if (!recurse(index + 1)) return false;
+        }
+        return true;
+      }
+      interrupt = governor.ChargeSteps(1);
+      if (!interrupt.ok()) return false;
+      row.clear();
+      AppendAtomRow(tpl.head, choice, &row);
+      for (const AlphabetRuleTemplate::AtomTpl& atom : tpl.body) {
+        AppendAtomRow(atom, choice, &row);
+      }
+      auto [symbol, inserted] = alphabet.label_keys.Intern(row.data(),
+                                                           row.size());
+      if (!inserted) return true;  // duplicate instance
+      // Only a new distinct label can overflow the cap.
+      if (alphabet.num_labels() >= max_labels) {
+        overflow = true;
+        return false;
+      }
+      DATALOG_CHECK_EQ(static_cast<std::size_t>(symbol),
+                       alphabet.num_labels());
+      // No Term-level label is materialized here: the alphabet keeps only
+      // the IR encoding, and ProgramAlphabet::Label decodes a Rule
+      // through the dictionaries on first demand.
+      ProgramAlphabet::LabelIr label_ir;
+      label_ir.head_pred = tpl.head.predicate;
+      label_ir.head_args = encode_ir_atom(tpl.head, choice).args;
+      for (const AlphabetRuleTemplate::AtomTpl& atom : tpl.body) {
+        if (atom.idb) {
+          label_ir.idb_atoms.push_back(encode_ir_atom(atom, choice));
+        } else {
+          label_ir.edb_atoms.push_back(encode_ir_atom(atom, choice));
+        }
+      }
+      alphabet.arities.push_back(static_cast<int>(tpl.idb_positions.size()));
+      alphabet.label_idb_positions.push_back(tpl.idb_positions);
+      alphabet.label_rule_index.push_back(rule_index);
+      alphabet.label_ir.push_back(std::move(label_ir));
+      return true;
+    };
+    if (!recurse(0)) {
+      if (!interrupt.ok()) return interrupt;
+      if (overflow) {
+        return Status(ResourceExhaustedError(
+            StrCat("alphabet exceeded ", max_labels, " labels")));
+      }
+    }
+  }
+  return alphabet;
+}
+
 Atom ProgramAlphabet::DecodeAtom(const ir::TermAtom& atom) const {
   std::vector<Term> args;
   args.reserve(atom.args.size());
@@ -266,7 +234,6 @@ Atom ProgramAlphabet::DecodeAtom(const ir::TermAtom& atom) const {
 }
 
 const Rule& ProgramAlphabet::Label(std::size_t symbol) const {
-  if (!interned) return eager_labels[symbol];
   if (label_cache_.size() < num_labels()) label_cache_.resize(num_labels());
   std::unique_ptr<Rule>& slot = label_cache_[symbol];
   if (slot == nullptr) {
@@ -294,10 +261,6 @@ const Rule& ProgramAlphabet::Label(std::size_t symbol) const {
 }
 
 int ProgramAlphabet::SymbolOf(const Rule& instance) const {
-  if (!interned) {
-    auto it = label_ids.find(instance.ToString());
-    return it == label_ids.end() ? -1 : it->second;
-  }
   std::vector<int> row;
   if (!EncodeAtomRow(*this, instance.head(), /*with_arity=*/true, &row)) {
     return -1;
@@ -309,35 +272,7 @@ int ProgramAlphabet::SymbolOf(const Rule& instance) const {
   return symbol == VarKeyTable::kNotFound ? -1 : static_cast<int>(symbol);
 }
 
-StatusOr<ProgramAlphabet> BuildProgramAlphabet(const Program& program,
-                                               const ExecutionLimits& limits,
-                                               bool use_ir) {
-  // The instances of one rule are pairwise distinct (every variable's
-  // image shows in the instance), so a rule with more than max_labels
-  // assignments over var(Π) overflows the cap whatever the other rules
-  // add: fail before enumerating. The enumeration would have charged at
-  // least max_labels + 1 steps first; charging them here keeps
-  // cancellation, faults and smaller step budgets reporting as before.
-  const std::size_t max_labels = limits.LabelsOr(2'000'000);
-  const std::size_t num_proof_vars = VarNum(program);
-  for (const Rule& rule : program.rules()) {
-    if (PowerExceeds(num_proof_vars, rule.VariableNames().size(),
-                     max_labels)) {
-      Governor governor(limits, "alphabet enumeration");
-      DATALOG_RETURN_IF_ERROR(governor.ChargeSteps(max_labels + 1));
-      return Status(ResourceExhaustedError(
-          StrCat("alphabet exceeded ", max_labels, " labels")));
-    }
-  }
-  return use_ir ? BuildProgramAlphabetIr(program, limits)
-                : BuildProgramAlphabetString(program, limits);
-}
-
 int PtreesAutomaton::StateOf(const Atom& atom) const {
-  if (!alphabet.interned) {
-    auto it = atom_states.find(atom.ToString());
-    return it == atom_states.end() ? -1 : it->second;
-  }
   std::vector<int> row;
   if (!EncodeAtomRow(alphabet, atom, /*with_arity=*/false, &row)) return -1;
   std::uint32_t state = state_keys.Find(row.data(), row.size());
@@ -345,7 +280,6 @@ int PtreesAutomaton::StateOf(const Atom& atom) const {
 }
 
 const Atom& PtreesAutomaton::StateAtom(std::size_t state) const {
-  if (!alphabet.interned) return state_atoms[state];
   if (state_cache_.size() < state_keys.size()) {
     state_cache_.resize(state_keys.size());
   }
@@ -374,7 +308,6 @@ const Atom& PtreesAutomaton::StateAtom(std::size_t state) const {
 StatusOr<PtreesAutomaton> BuildPtreesAutomaton(const Program& program,
                                                const std::string& goal,
                                                const ExecutionLimits& limits,
-                                               bool use_ir,
                                                bool prune_unreachable) {
   // Goal-directed pruning: an unreachable rule's instances could label no
   // node of a goal-rooted run, so dropping them changes no accepted tree
@@ -385,79 +318,49 @@ StatusOr<PtreesAutomaton> BuildPtreesAutomaton(const Program& program,
   const Program& prog = pruned.has_value() ? *pruned : program;
   PtreesAutomaton automaton;
   DATALOG_ASSIGN_OR_RETURN(automaton.alphabet,
-                           BuildProgramAlphabet(prog, limits, use_ir));
+                           BuildProgramAlphabet(prog, limits));
   // States: every IDB atom occurring as a label head or IDB body atom.
   Nfta nfta(0, automaton.alphabet.arities);
-  if (automaton.alphabet.interned) {
-    // Interned arm: states are [pred, enc(arg)...] rows over the
-    // alphabet's dictionaries; the VarKeyTable index is the state id.
-    std::vector<int> row;
-    // No Term-level state atom is materialized here: the key row IS the
-    // state identity, and StateAtom() decodes a row on demand for the
-    // few callers that want to render one.
-    auto state_of = [&](const ir::TermAtom& encoded) -> int {
-      row.clear();
-      row.push_back(encoded.predicate);
-      for (ir::TermId t : encoded.args) row.push_back(ir::EncodeRowTerm(t));
-      auto [id, inserted] =
-          automaton.state_keys.Intern(row.data(), row.size());
-      if (inserted) nfta.AddState();
-      return static_cast<int>(id);
-    };
-    std::uint32_t goal_pred = automaton.alphabet.predicates.Find(goal);
-    for (std::size_t symbol = 0;
-         symbol < automaton.alphabet.num_labels(); ++symbol) {
-      const ProgramAlphabet::LabelIr& label_ir =
-          automaton.alphabet.label_ir[symbol];
-      std::vector<int> children;
-      children.reserve(label_ir.idb_atoms.size());
-      for (std::size_t j = 0; j < label_ir.idb_atoms.size(); ++j) {
-        children.push_back(state_of(label_ir.idb_atoms[j]));
-      }
-      ir::TermAtom head;
-      head.predicate = label_ir.head_pred;
-      head.args = label_ir.head_args;
-      int head_state = state_of(head);
-      nfta.AddTransition(static_cast<int>(symbol), std::move(children),
-                         head_state);
+  // States are [pred, enc(arg)...] rows over the alphabet's
+  // dictionaries; the VarKeyTable index is the state id.
+  std::vector<int> row;
+  // No Term-level state atom is materialized here: the key row IS the
+  // state identity, and StateAtom() decodes a row on demand for the
+  // few callers that want to render one.
+  auto state_of = [&](const ir::TermAtom& encoded) -> int {
+    row.clear();
+    row.push_back(encoded.predicate);
+    for (ir::TermId t : encoded.args) row.push_back(ir::EncodeRowTerm(t));
+    auto [id, inserted] =
+        automaton.state_keys.Intern(row.data(), row.size());
+    if (inserted) nfta.AddState();
+    return static_cast<int>(id);
+  };
+  std::uint32_t goal_pred = automaton.alphabet.predicates.Find(goal);
+  for (std::size_t symbol = 0;
+       symbol < automaton.alphabet.num_labels(); ++symbol) {
+    const ProgramAlphabet::LabelIr& label_ir =
+        automaton.alphabet.label_ir[symbol];
+    std::vector<int> children;
+    children.reserve(label_ir.idb_atoms.size());
+    for (std::size_t j = 0; j < label_ir.idb_atoms.size(); ++j) {
+      children.push_back(state_of(label_ir.idb_atoms[j]));
     }
-    // Final states: all goal-predicate atoms (a state row's first int is
-    // its predicate id), mirroring the string arm exactly — including
-    // goal atoms that only ever occur as children.
-    for (std::size_t s = 0; s < automaton.state_keys.size(); ++s) {
-      if (goal_pred != ir::NameDictionary::kNotFound &&
-          static_cast<std::uint32_t>(automaton.state_keys.KeyData(s)[0]) ==
-              goal_pred) {
-        nfta.SetFinal(static_cast<int>(s));
-      }
-    }
-  } else {
-    auto state_of = [&automaton, &nfta](const Atom& atom) {
-      auto [it, inserted] = automaton.atom_states.emplace(
-          atom.ToString(), static_cast<int>(automaton.state_atoms.size()));
-      if (inserted) {
-        automaton.state_atoms.push_back(atom);
-        nfta.AddState();
-      }
-      return it->second;
-    };
-    for (std::size_t symbol = 0;
-         symbol < automaton.alphabet.num_labels(); ++symbol) {
-      const Rule& label = automaton.alphabet.eager_labels[symbol];
-      std::vector<int> children;
-      for (std::size_t pos : automaton.alphabet.label_idb_positions[symbol]) {
-        children.push_back(state_of(label.body()[pos]));
-      }
-      int head_state = state_of(label.head());
-      nfta.AddTransition(static_cast<int>(symbol), std::move(children),
-                         head_state);
-    }
-    // Final states (the paper's start states, read top-down): all
-    // goal-predicate atoms.
-    for (std::size_t s = 0; s < automaton.state_atoms.size(); ++s) {
-      if (automaton.state_atoms[s].predicate() == goal) {
-        nfta.SetFinal(static_cast<int>(s));
-      }
+    ir::TermAtom head;
+    head.predicate = label_ir.head_pred;
+    head.args = label_ir.head_args;
+    int head_state = state_of(head);
+    nfta.AddTransition(static_cast<int>(symbol), std::move(children),
+                       head_state);
+  }
+  // Final states (the paper's start states, read top-down): all
+  // goal-predicate atoms, including goal atoms that only ever occur as
+  // children (a state row's first int is its predicate id).
+  for (std::size_t s = 0; s < automaton.state_keys.size(); ++s) {
+    if (goal_pred != ir::NameDictionary::kNotFound &&
+        static_cast<std::uint32_t>(automaton.state_keys.KeyData(s)[0]) ==
+            goal_pred) {
+      nfta.SetFinal(static_cast<int>(s));
     }
   }
   automaton.nfta = std::move(nfta);

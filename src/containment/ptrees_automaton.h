@@ -8,9 +8,9 @@
 //
 // Labels and states are interned on flat integer rows (rule templates
 // stamped per variable assignment, deduplicated through a VarKeyTable over
-// shared name dictionaries) by default; the rendered-string identity the
-// rows replaced is kept behind `use_ir = false` as the ablation baseline.
-// Both arms build identical automata (tests/decider_intern_test.cc).
+// shared name dictionaries); Term-level labels and state atoms are decoded
+// on demand. tests/ptrees_automaton_test.cc checks the alphabet against a
+// direct ForEachInstanceOver enumeration.
 //
 // Intended for small programs and cross-validation against the on-the-fly
 // decider; construction cost is exponential by design.
@@ -18,7 +18,6 @@
 #define DATALOG_EQ_SRC_CONTAINMENT_PTREES_AUTOMATON_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -38,30 +37,25 @@ namespace datalog {
 /// program rule over var(Π), tagged with the originating rule. The symbol
 /// arity is the number of IDB atoms in the instance's body.
 struct ProgramAlphabet {
-  /// String-arm label storage: the materialized Rule per symbol. Empty on
-  /// the interned arm, where Term-level labels are decoded on demand from
-  /// label_ir — go through num_labels()/Label() instead of this field.
-  std::vector<Rule> eager_labels;
   std::vector<std::size_t> label_rule_index;
   /// Positions of IDB atoms in each label's body (children align).
   std::vector<std::vector<std::size_t>> label_idb_positions;
   std::vector<int> arities;
   std::vector<std::string> proof_vars;
 
-  // --- interned identity (the use_ir arm) ------------------------------
+  // --- interned identity -----------------------------------------------
   // Labels are rows [pred, arity, enc(arg)...] per atom, head first, over
   // the shared dictionaries: proof variable $k encodes as -(k+1),
   // constants as their non-negative dictionary ids (the decider's goal-row
   // convention). The VarKeyTable's dense index is the symbol.
-  bool interned = false;
   ir::NameDictionary predicates;
   ir::NameDictionary constants;
   VarKeyTable label_keys;
 
   /// Per-symbol IR encoding of a label in the instance frame (argument
-  /// TermIds are proof-variable indexes or constant dictionary ids).
-  /// Populated on the interned arm; the word- and tree-automaton
-  /// constructions run on these rows instead of the Term-level labels.
+  /// TermIds are proof-variable indexes or constant dictionary ids). The
+  /// word- and tree-automaton constructions run on these rows instead of
+  /// the Term-level labels.
   struct LabelIr {
     std::int32_t head_pred = 0;
     std::vector<ir::TermId> head_args;
@@ -72,23 +66,18 @@ struct ProgramAlphabet {
   };
   std::vector<LabelIr> label_ir;
 
-  // --- string identity (ablation arm) ----------------------------------
-  std::map<std::string, int> label_ids;  // Rule::ToString() -> symbol
-
-  /// Number of symbols (both arms fill `arities`, one entry per label).
+  /// Number of symbols (one `arities` entry per label).
   std::size_t num_labels() const { return arities.size(); }
 
-  /// Interned-arm labels materialized so far by Label() — the lazy
-  /// decode's work counter, pinned by tests/ptrees_automaton_test.cc:
-  /// the IR constructions render no label at all, and witness decoding
-  /// renders only the symbols on the witness path. Always 0 on the
-  /// string arm (its labels are eager by construction).
+  /// Labels materialized so far by Label() — the lazy decode's work
+  /// counter, pinned by tests/ptrees_automaton_test.cc: the IR
+  /// constructions render no label at all, and witness decoding renders
+  /// only the symbols on the witness path.
   std::size_t num_decoded_labels() const { return decoded_labels_; }
 
-  /// The Term-level rendering of a label. The interned arm decodes the
-  /// LabelIr through the dictionaries on first use and caches the Rule,
-  /// so constructions that never render a symbol (the IR word/tree
-  /// automata) pay nothing; the string arm returns its eager storage.
+  /// The Term-level rendering of a label, decoded from the LabelIr
+  /// through the dictionaries on first use and cached, so constructions
+  /// that never render a symbol (the IR word/tree automata) pay nothing.
   const Rule& Label(std::size_t symbol) const;
 
   /// Decodes one instance-frame IR atom into Terms (dictionary lookups);
@@ -99,7 +88,7 @@ struct ProgramAlphabet {
   int SymbolOf(const Rule& instance) const;
 
  private:
-  // Lazily decoded labels, indexed by symbol (interned arm only).
+  // Lazily decoded labels, indexed by symbol.
   mutable std::vector<std::unique_ptr<Rule>> label_cache_;
   mutable std::size_t decoded_labels_ = 0;
 };
@@ -111,37 +100,27 @@ struct ProgramAlphabet {
 /// rule whose |var(Π)|^|vars(r)| instances alone exceed the cap fails
 /// before anything is enumerated, after one poll charging max_labels + 1
 /// steps. The enumeration polls the governor once per enumerated
-/// instance. `use_ir` selects the interned (default) or rendered-string
-/// label identity; the alphabets are identical either way (same symbols
-/// in the same order).
+/// instance, and counts only distinct labels against the cap: duplicate
+/// instances of an alphabet already at the cap are fine.
 StatusOr<ProgramAlphabet> BuildProgramAlphabet(
     const Program& program,
-    const ExecutionLimits& limits = ExecutionLimits(), bool use_ir = true);
+    const ExecutionLimits& limits = ExecutionLimits());
 
 struct PtreesAutomaton {
   ProgramAlphabet alphabet;
   Nfta nfta = Nfta(0, {});
-  std::map<std::string, int> atom_states;  // string arm: Atom::ToString()
-  /// String-arm state storage: the materialized Atom per state. Empty on
-  /// the interned arm, where state atoms are decoded on demand from the
-  /// state_keys rows — go through num_states()/StateAtom() instead.
-  std::vector<Atom> state_atoms;
-  VarKeyTable state_keys;  // interned arm: [pred, enc(arg)...] rows
+  VarKeyTable state_keys;  // [pred, enc(arg)...] rows; index = state
 
-  std::size_t num_states() const {
-    return alphabet.interned ? state_keys.size() : state_atoms.size();
-  }
+  std::size_t num_states() const { return state_keys.size(); }
 
-  /// The Term-level atom of a state. The interned arm decodes the
-  /// state's key row through the alphabet dictionaries on first use and
-  /// caches the Atom, so constructions that never render a state — the
-  /// IR decider cross-checks, emptiness tests — pay nothing; the string
-  /// arm returns its eager storage.
+  /// The Term-level atom of a state, decoded from the state's key row
+  /// through the alphabet dictionaries on first use and cached, so
+  /// constructions that never render a state — emptiness tests, the
+  /// explicit containment pipeline — pay nothing.
   const Atom& StateAtom(std::size_t state) const;
 
-  /// Interned-arm state atoms materialized so far by StateAtom() — the
-  /// lazy decode's work counter (see ProgramAlphabet's
-  /// num_decoded_labels). Always 0 on the string arm.
+  /// State atoms materialized so far by StateAtom() — the lazy decode's
+  /// work counter (see ProgramAlphabet's num_decoded_labels).
   std::size_t num_decoded_state_atoms() const {
     return decoded_state_atoms_;
   }
@@ -149,20 +128,20 @@ struct PtreesAutomaton {
   int StateOf(const Atom& atom) const;
 
  private:
-  // Lazily decoded state atoms, indexed by state (interned arm only).
+  // Lazily decoded state atoms, indexed by state.
   mutable std::vector<std::unique_ptr<Atom>> state_cache_;
   mutable std::size_t decoded_state_atoms_ = 0;
 };
 
-/// Builds A^ptrees_{Q,Π} (Proposition 5.9); `use_ir` as above. By
-/// default rules not backward-reachable from `goal` are dropped first
+/// Builds A^ptrees_{Q,Π} (Proposition 5.9), with `limits` as for
+/// BuildProgramAlphabet. By default rules not backward-reachable from `goal` are dropped first
 /// (src/analysis/reachability.h) — they cannot label any node of a
 /// goal-rooted proof tree, so the accepted language is unchanged while
 /// the alphabet (exponential per rule) shrinks; `prune_unreachable =
 /// false` keeps the full alphabet for cross-validation.
 StatusOr<PtreesAutomaton> BuildPtreesAutomaton(
     const Program& program, const std::string& goal,
-    const ExecutionLimits& limits = ExecutionLimits(), bool use_ir = true,
+    const ExecutionLimits& limits = ExecutionLimits(),
     bool prune_unreachable = true);
 
 /// Encodes a proof tree as a labeled tree over the alphabet; nullopt if a

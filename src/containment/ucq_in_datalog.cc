@@ -14,83 +14,34 @@
 namespace datalog {
 namespace {
 
-// The shared tail of both freeze arms: record the goal tuple's constants
-// in the auxiliary domain relation (every frozen variable is part of the
-// canonical instance's domain even when it appears only in the head, so
-// the active domain is right for unsafe rules), evaluate, and test the
-// frozen head tuple.
-StatusOr<bool> FrozenGoalDerived(const Program& program,
-                                 const std::string& goal, Database* db,
-                                 const Tuple& goal_tuple, EvalStats* stats,
-                                 const EvalOptions& eval,
-                                 CanonicalDbWitness* witness) {
+// Freezes disjunct `index` of `theta_ir` into a fresh database, records
+// the goal tuple's constants in the auxiliary domain relation (every
+// frozen variable is part of the canonical instance's domain even when it
+// appears only in the head, so the active domain is right for unsafe
+// rules), evaluates, and tests the frozen head tuple.
+StatusOr<bool> IsDisjunctContained(const ir::ProgramIr& theta_ir,
+                                   std::size_t index, const Program& program,
+                                   const std::string& goal, EvalStats* stats,
+                                   const EvalOptions& eval,
+                                   CanonicalDbWitness* witness = nullptr) {
+  Database db;
+  Tuple goal_tuple = FreezeDisjunctIntoDatabase(theta_ir, index, &db);
   if (witness != nullptr) {
     // Snapshot before evaluation and before the auxiliary __domain
     // relation: exactly the frozen facts the verdict is about.
-    witness->facts = db->AllFactAtoms();
+    witness->facts = db.AllFactAtoms();
     std::vector<Term> goal_args;
     goal_args.reserve(goal_tuple.size());
     for (int id : goal_tuple) {
-      goal_args.push_back(Term::Constant(db->dictionary().NameOf(id)));
+      goal_args.push_back(Term::Constant(db.dictionary().NameOf(id)));
     }
     witness->goal_atom = Atom(goal, std::move(goal_args));
   }
-  PredicateId domain = db->InternPredicate("__domain", 1);
-  for (int id : goal_tuple) db->AddTupleById(domain, {id});
-  StatusOr<Relation> result = EvaluateGoal(program, goal, *db, eval, stats);
+  PredicateId domain = db.InternPredicate("__domain", 1);
+  for (int id : goal_tuple) db.AddTupleById(domain, {id});
+  StatusOr<Relation> result = EvaluateGoal(program, goal, db, eval, stats);
   if (!result.ok()) return result.status();
   return result->Contains(goal_tuple);
-}
-
-// The Term-level ablation arm: frozen "@v" Atoms through AddFactAtom
-// (one dictionary hash per argument occurrence).
-StatusOr<bool> IsCqContainedString(const ConjunctiveQuery& theta,
-                                   const Program& program,
-                                   const std::string& goal, EvalStats* stats,
-                                   const EvalOptions& eval,
-                                   CanonicalDbWitness* witness) {
-  CanonicalDatabase frozen = FreezeCq(theta);
-  Database db;
-  for (const Atom& fact : frozen.facts) {
-    Status s = db.AddFactAtom(fact);
-    if (!s.ok()) return s;
-  }
-  Tuple goal_tuple;
-  goal_tuple.reserve(frozen.goal_tuple.size());
-  for (const Term& t : frozen.goal_tuple) {
-    goal_tuple.push_back(db.dictionary().Intern(t.name()));
-  }
-  return FrozenGoalDerived(program, goal, &db, goal_tuple, stats, eval,
-                           witness);
-}
-
-StatusOr<bool> IsDisjunctContainedIr(const ir::ProgramIr& theta_ir,
-                                     std::size_t index,
-                                     const Program& program,
-                                     const std::string& goal,
-                                     EvalStats* stats,
-                                     const EvalOptions& eval,
-                                     CanonicalDbWitness* witness) {
-  Database db;
-  Tuple goal_tuple = FreezeDisjunctIntoDatabase(theta_ir, index, &db);
-  return FrozenGoalDerived(program, goal, &db, goal_tuple, stats, eval,
-                           witness);
-}
-
-// One disjunct check against an already-carried union IR (or the string
-// arm), with the given engine options.
-StatusOr<bool> CheckDisjunct(const UnionOfCqs& theta,
-                             const ir::ProgramIr* theta_ir,
-                             std::size_t disjunct, const Program& program,
-                             const std::string& goal, EvalStats* stats,
-                             const EvalOptions& eval,
-                             CanonicalDbWitness* witness = nullptr) {
-  if (theta_ir != nullptr) {
-    return IsDisjunctContainedIr(*theta_ir, disjunct, program, goal, stats,
-                                 eval, witness);
-  }
-  return IsCqContainedString(theta.disjuncts()[disjunct], program, goal,
-                             stats, eval, witness);
 }
 
 }  // namespace
@@ -103,10 +54,6 @@ StatusOr<bool> IsCqContainedInDatalog(const ConjunctiveQuery& theta,
   std::optional<Program> pruned;
   if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
-  if (!options.use_ir) {
-    return IsCqContainedString(theta, prog, goal, stats, options.eval,
-                               options.witness);
-  }
   // A bare CQ has no carrier to cache on; intern just this disjunct
   // (no union copy, no full FromUnion pass). Drivers that loop many CQs
   // should batch them into a UnionOfCqs and check disjuncts through
@@ -114,8 +61,8 @@ StatusOr<bool> IsCqContainedInDatalog(const ConjunctiveQuery& theta,
   // reuses the union's carried IR across the whole loop.
   ir::ProgramIr single;
   single.AddDisjunct(theta);
-  return IsDisjunctContainedIr(single, 0, prog, goal, stats,
-                               options.eval, options.witness);
+  return IsDisjunctContained(single, 0, prog, goal, stats, options.eval,
+                             options.witness);
 }
 
 StatusOr<bool> IsUcqDisjunctContainedInDatalog(
@@ -125,10 +72,8 @@ StatusOr<bool> IsUcqDisjunctContainedInDatalog(
   std::optional<Program> pruned;
   if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
-  std::shared_ptr<ir::ProgramIr> theta_ir;
-  if (options.use_ir) theta_ir = ir::CarriedIr(theta);
-  return CheckDisjunct(theta, theta_ir.get(), disjunct, prog, goal,
-                       stats, options.eval, options.witness);
+  return IsDisjunctContained(*ir::CarriedIr(theta), disjunct, prog, goal,
+                             stats, options.eval, options.witness);
 }
 
 StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
@@ -142,8 +87,7 @@ StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
   std::optional<Program> pruned;
   if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
-  std::shared_ptr<ir::ProgramIr> theta_ir;
-  if (options.use_ir) theta_ir = ir::CarriedIr(theta);
+  const std::shared_ptr<ir::ProgramIr> theta_ir = ir::CarriedIr(theta);
   const std::size_t n = theta.disjuncts().size();
   const std::size_t threads = std::min(ResolvedEvalThreads(options.eval), n);
 
@@ -167,9 +111,9 @@ StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
     ThreadPool& pool =
         options.pool != nullptr ? *options.pool : *local_pool;
     pool.ParallelFor(n, [&](std::size_t i) {
-      results[i] = CheckDisjunct(theta, theta_ir.get(), i, prog, goal,
-                                 stats != nullptr ? &task_stats[i] : nullptr,
-                                 task_eval);
+      results[i] = IsDisjunctContained(
+          *theta_ir, i, prog, goal,
+          stats != nullptr ? &task_stats[i] : nullptr, task_eval);
     });
     for (std::size_t i = 0; i < n; ++i) {
       // Stats fold up to and including the first failing or erroring
@@ -185,9 +129,8 @@ StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    StatusOr<bool> contained = CheckDisjunct(theta, theta_ir.get(), i,
-                                             prog, goal, stats,
-                                             options.eval);
+    StatusOr<bool> contained =
+        IsDisjunctContained(*theta_ir, i, prog, goal, stats, options.eval);
     if (!contained.ok()) return contained;
     if (!*contained) {
       if (failing_disjunct != nullptr) *failing_disjunct = i;

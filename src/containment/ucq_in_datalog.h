@@ -3,10 +3,9 @@
 // [CK86] cited in the paper's introduction: freeze the CQ into a database,
 // evaluate the program, and check that the frozen head tuple is derived.
 //
-// The freeze feeds the engine through the shared-IR dictionary handoff by
-// default (FreezeDisjunctIntoDatabase, src/cq/canonical_db.h), reusing the
-// union's carried ProgramIr across calls; the Term-level freeze is kept
-// behind `CanonicalDbOptions::use_ir = false` as the ablation baseline.
+// The freeze feeds the engine through the shared-IR dictionary handoff
+// (FreezeDisjunctIntoDatabase, src/cq/canonical_db.h), reusing the
+// union's carried ProgramIr across calls.
 #ifndef DATALOG_EQ_SRC_CONTAINMENT_UCQ_IN_DATALOG_H_
 #define DATALOG_EQ_SRC_CONTAINMENT_UCQ_IN_DATALOG_H_
 
@@ -33,14 +32,7 @@ struct CanonicalDbWitness {
   Atom goal_atom;
 };
 
-/// Ablation switch for the canonical-database construction substrate.
 struct CanonicalDbOptions {
-  /// Freeze through the ProgramIr → engine dictionary handoff (each name
-  /// interned once, facts inserted as already-encoded tuples). Disabling
-  /// falls back to the Term-level freeze (frozen "@v" Atoms re-hashed per
-  /// argument occurrence). Both arms build identical databases and
-  /// produce identical verdicts (tests/canonical_db_test.cc).
-  bool use_ir = true;
   /// Engine options for the canonical-database evaluations. num_threads
   /// additionally gates the union-level driver's disjunct fan-out: when
   /// it resolves to more than one thread, IsUcqContainedInDatalog
@@ -100,7 +92,7 @@ StatusOr<bool> IsUcqDisjunctContainedInDatalog(
     const CanonicalDbOptions& options = CanonicalDbOptions());
 
 /// Θ ⊆ Q_Π: every disjunct contained. Uses Θ's carried ProgramIr
-/// (ir::CarriedIr) on the IR arm, so repeated calls on the same union —
+/// (ir::CarriedIr), so repeated calls on the same union —
 /// the equivalence pipeline's backward direction, rewriting searches —
 /// re-intern nothing. When not contained and `failing_disjunct` is
 /// non-null, it receives the index of the first uncontained disjunct.

@@ -64,11 +64,7 @@ class Unfolder {
         Status s = Expand(rule.head().args(), done, rule.body(), 0, &ucq);
         if (!s.ok()) return s;
       }
-      if (options_.minimize) {
-        CqMappingOptions mapping;
-        mapping.use_ir = options_.use_ir;
-        ucq = MinimizeUcq(ucq, mapping);
-      }
+      if (options_.minimize) ucq = MinimizeUcq(ucq);
       ucqs_[predicate] = std::move(ucq);
     }
     auto it = ucqs_.find(goal);

@@ -23,10 +23,6 @@ struct UnfoldOptions {
   /// Minimize each disjunct and drop redundant disjuncts as they are
   /// produced (slower, smaller output).
   bool minimize = false;
-  /// Substrate for the minimization's homomorphism searches: the shared
-  /// interned IR (default) or the string baseline (ablation; identical
-  /// output either way).
-  bool use_ir = true;
 };
 
 /// Rewrites the nonrecursive `program` as a union of conjunctive queries

@@ -3,12 +3,16 @@
 // The verifier replays every certificate kind against the instance using
 // only the naive AST kernel (src/corpus/naive.h), the expansion-tree
 // validators (src/trees), canonical-instance enumeration
-// (src/containment/instances.h), and the string-arm absorb kernel
-// (CombineAtNode / RootAccepts). It shares NO code with the staged
-// pipeline's deciders: no engine, no interning, no IR, no automata, no
-// parallelism. The trust argument (docs/corpus.md, "Verifier trust
-// base") is that a certificate accepted here witnesses the claimed
-// verdict even if every optimized component above this layer is wrong.
+// (src/containment/instances.h), and the Term-level absorb kernel
+// (CombineAtNode / RootAccepts / IsAchievedSubset over Rules and Atoms).
+// The decider runs on the IR encoding of that kernel; the Term-level one
+// is called only from here and from the explicit A^θ construction. The
+// verifier shares NO code with the staged pipeline's deciders: no
+// engine, no interning, no IR, no automata, no parallelism. The trust
+// argument (docs/corpus.md, "Verifier trust base") is that a certificate
+// accepted here witnesses the claimed verdict even if every optimized
+// component above this layer is wrong, which is also what makes it the
+// tests' oracle for those components.
 //
 // Soundness notes per kind:
 //  * forward-contained — CheckDerivation replays a ground forward

@@ -8,29 +8,12 @@ std::string FrozenConstantName(const std::string& name) {
   return StrCat("@", name);
 }
 
-CanonicalDatabase FreezeCq(const ConjunctiveQuery& cq) {
-  Substitution freeze;
-  for (const std::string& v : cq.VariableNames()) {
-    freeze.emplace(v, Term::Constant(FrozenConstantName(v)));
-  }
-  CanonicalDatabase db;
-  db.facts.reserve(cq.body().size());
-  for (const Atom& atom : cq.body()) {
-    db.facts.push_back(ApplySubstitution(freeze, atom));
-  }
-  db.goal_tuple.reserve(cq.head_args().size());
-  for (const Term& t : cq.head_args()) {
-    db.goal_tuple.push_back(ApplySubstitution(freeze, t));
-  }
-  return db;
-}
-
 Tuple FreezeDisjunctIntoDatabase(const ir::ProgramIr& ir, std::size_t index,
                                  Database* db) {
   const ir::DisjunctSpan& disjunct = ir.disjunct(index);
   // IR id -> engine id memos, filled on first occurrence so every name
-  // is hashed into the engine dictionaries exactly once and the id
-  // assignment order matches the per-occurrence Term arm.
+  // is hashed into the engine dictionaries exactly once, in
+  // first-occurrence order.
   std::vector<PredicateId> predicate_ids(ir.predicates().size(),
                                          kNoPredicate);
   std::vector<int> constant_ids(ir.constants().size(), -1);

@@ -3,19 +3,15 @@
 // CQ's variables into fresh constants, evaluate the program on the frozen
 // body, and test whether the frozen head tuple is derived.
 //
-// Two renderings of the freeze are provided:
-//
-// * FreezeCq — the Term-level arm: builds frozen Atoms ("@v" constants)
-//   that the caller feeds through Database::AddFactAtom, paying a string
-//   hash per argument occurrence. Kept as the ablation baseline.
-// * FreezeDisjunctIntoDatabase — the IR arm (default in
-//   src/containment/ucq_in_datalog.cc): a dictionary handoff from a
-//   ProgramIr straight into the engine's dictionary encoding. Each
-//   distinct predicate/constant/variable name crosses the string boundary
-//   once (memoized id→id), every further occurrence is an integer copy,
-//   and facts land as already-encoded tuples — no string round-trip on
-//   the hot path. Both arms produce identical databases, fact for fact
-//   and id for id (tests/canonical_db_test.cc).
+// FreezeDisjunctIntoDatabase is a dictionary handoff from a ProgramIr
+// straight into the engine's dictionary encoding. Each distinct
+// predicate/constant/variable name crosses the string boundary once
+// (memoized id→id), every further occurrence is an integer copy, and
+// facts land as already-encoded tuples — no string round-trip on the hot
+// path. Variable v freezes to the constant "@v", the spelling the
+// independent verifier's NaiveFreezeCq (src/corpus/naive.h) also uses, so
+// engine-exported witnesses compare fact for fact
+// (tests/canonical_db_test.cc).
 #ifndef DATALOG_EQ_SRC_CQ_CANONICAL_DB_H_
 #define DATALOG_EQ_SRC_CQ_CANONICAL_DB_H_
 
@@ -28,19 +24,9 @@
 
 namespace datalog {
 
-struct CanonicalDatabase {
-  /// The frozen body atoms: all arguments are constants.
-  std::vector<Atom> facts;
-  /// The frozen head argument tuple (constants).
-  std::vector<Term> goal_tuple;
-};
-
-/// Freezes `cq`, mapping each variable v to the fresh constant "@v". The
-/// '@' prefix cannot be produced by the parser, so frozen constants never
+/// The frozen-constant spelling for variable `name`: "@name". The '@'
+/// prefix cannot be produced by the parser, so frozen constants never
 /// collide with constants already present in the query.
-CanonicalDatabase FreezeCq(const ConjunctiveQuery& cq);
-
-/// The frozen-constant spelling for variable `name`.
 std::string FrozenConstantName(const std::string& name);
 
 /// Freezes disjunct `index` of `ir` (typically a union's carried IR; see
@@ -48,11 +34,11 @@ std::string FrozenConstantName(const std::string& name);
 /// the frozen body facts. Returns the frozen head tuple as constant ids
 /// of `db`'s dictionary — head-only variables are interned here but no
 /// fact is added for them (the caller records them in its active-domain
-/// relation, mirroring the Term-level arm).
+/// relation).
 ///
-/// Names are interned into `db` lazily in first-occurrence order — the
-/// exact order the FreezeCq + AddFactAtom arm produces — so the two arms
-/// assign identical ids and the downstream verdicts are byte-identical.
+/// Names are interned into `db` lazily in first-occurrence order (body
+/// atoms in order, then the head), so the ids are a function of the
+/// disjunct alone.
 Tuple FreezeDisjunctIntoDatabase(const ir::ProgramIr& ir, std::size_t index,
                                  Database* db);
 

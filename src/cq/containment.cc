@@ -1,10 +1,7 @@
 #include "src/cq/containment.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/ir/ir.h"
@@ -14,129 +11,10 @@ namespace datalog {
 namespace {
 
 // Backtracking search state for a containment mapping from psi to theta.
-class MappingSearch {
- public:
-  MappingSearch(const ConjunctiveQuery& psi, const ConjunctiveQuery& theta)
-      : psi_(psi), theta_(theta) {}
-
-  std::optional<Substitution> Run() {
-    if (psi_.arity() != theta_.arity()) return std::nullopt;
-    // Seed the mapping from the head argument vectors: h must send psi's
-    // i-th head term to theta's i-th head term.
-    for (std::size_t i = 0; i < psi_.arity(); ++i) {
-      if (!UnifyTerm(psi_.head_args()[i], theta_.head_args()[i])) {
-        return std::nullopt;
-      }
-    }
-    mapped_.assign(psi_.body().size(), false);
-    // Candidate targets per psi atom: theta atoms sharing predicate and
-    // arity (an upper bound on how many ways the atom can map).
-    candidates_.assign(psi_.body().size(), 0);
-    for (std::size_t i = 0; i < psi_.body().size(); ++i) {
-      const Atom& from = psi_.body()[i];
-      for (const Atom& to : theta_.body()) {
-        if (from.predicate() == to.predicate() &&
-            from.arity() == to.arity()) {
-          ++candidates_[i];
-        }
-      }
-    }
-    if (!Search(psi_.body().size())) return std::nullopt;
-    return binding_;
-  }
-
- private:
-  // Tries to extend the mapping with psi-term -> theta-term.
-  bool UnifyTerm(const Term& from, const Term& to) {
-    if (from.is_constant()) {
-      // Constants map to themselves (Remark 5.14).
-      return to.is_constant() && to.name() == from.name();
-    }
-    auto it = binding_.find(from.name());
-    if (it != binding_.end()) return it->second == to;
-    binding_.emplace(from.name(), to);
-    trail_.push_back(from.name());
-    return true;
-  }
-
-  std::size_t TrailMark() const { return trail_.size(); }
-
-  void UndoTo(std::size_t mark) {
-    while (trail_.size() > mark) {
-      binding_.erase(trail_.back());
-      trail_.pop_back();
-    }
-  }
-
-  bool UnifyAtom(const Atom& from, const Atom& to) {
-    if (from.predicate() != to.predicate() || from.arity() != to.arity()) {
-      return false;
-    }
-    std::size_t mark = TrailMark();
-    for (std::size_t i = 0; i < from.arity(); ++i) {
-      if (!UnifyTerm(from.args()[i], to.args()[i])) {
-        UndoTo(mark);
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Picks the unmapped psi atom with the most already-bound variables
-  // (most-constrained-first), breaking ties toward fewer candidate
-  // targets (theta atoms with matching predicate and arity).
-  std::size_t PickNextAtom() const {
-    std::size_t best = psi_.body().size();
-    int best_bound = -1;
-    int best_candidates = 0;
-    for (std::size_t i = 0; i < psi_.body().size(); ++i) {
-      if (mapped_[i]) continue;
-      int bound = 0;
-      for (const Term& t : psi_.body()[i].args()) {
-        if (t.is_constant() || binding_.count(t.name()) > 0) ++bound;
-      }
-      if (bound > best_bound ||
-          (bound == best_bound && candidates_[i] < best_candidates)) {
-        best_bound = bound;
-        best_candidates = candidates_[i];
-        best = i;
-      }
-    }
-    return best;
-  }
-
-  bool Search(std::size_t remaining) {
-    if (remaining == 0) return true;
-    std::size_t index = PickNextAtom();
-    DATALOG_CHECK_LT(index, psi_.body().size());
-    mapped_[index] = true;
-    const Atom& from = psi_.body()[index];
-    for (const Atom& to : theta_.body()) {
-      std::size_t mark = TrailMark();
-      if (UnifyAtom(from, to)) {
-        if (Search(remaining - 1)) return true;
-        UndoTo(mark);
-      }
-    }
-    mapped_[index] = false;
-    return false;
-  }
-
-  const ConjunctiveQuery& psi_;
-  const ConjunctiveQuery& theta_;
-  Substitution binding_;
-  std::vector<std::string> trail_;
-  std::vector<bool> mapped_;
-  std::vector<int> candidates_;
-};
-
-// The IR rendering of MappingSearch: both queries are interned onto
-// shared predicate/constant dictionaries in one pass (psi variables and
-// theta variables each get a frame-local dense numbering), the working
-// binding is a dense IrSubstitution, and every unification is a branch
-// plus an integer compare. Candidate and atom orders match MappingSearch
-// exactly, so the first mapping found — and therefore the returned
-// Substitution — is identical to the string path's.
+// Both queries are interned onto shared predicate/constant dictionaries in
+// one pass (psi variables and theta variables each get a frame-local dense
+// numbering), the working binding is a dense IrSubstitution, and every
+// unification is a branch plus an integer compare.
 class IrMappingSearch {
  public:
   IrMappingSearch(const ConjunctiveQuery& psi, const ConjunctiveQuery& theta)
@@ -236,9 +114,9 @@ class IrMappingSearch {
     return true;
   }
 
-  // Same most-constrained-first heuristic and tie-breaks as
-  // MappingSearch::PickNextAtom (the orders must match for the two
-  // substrates to find the same first mapping).
+  // Picks the unmapped psi atom with the most already-bound variables
+  // (most-constrained-first), breaking ties toward fewer candidate
+  // targets (theta atoms with matching predicate and arity).
   std::size_t PickNextAtom() const {
     std::size_t best = psi_body_.size();
     int best_bound = -1;
@@ -295,27 +173,21 @@ class IrMappingSearch {
 }  // namespace
 
 std::optional<Substitution> FindContainmentMapping(
-    const ConjunctiveQuery& psi, const ConjunctiveQuery& theta,
-    const CqMappingOptions& options) {
-  if (options.use_ir) {
-    IrMappingSearch search(psi, theta);
-    return search.Run();
-  }
-  MappingSearch search(psi, theta);
+    const ConjunctiveQuery& psi, const ConjunctiveQuery& theta) {
+  IrMappingSearch search(psi, theta);
   return search.Run();
 }
 
-bool IsCqContained(const ConjunctiveQuery& theta, const ConjunctiveQuery& psi,
-                   const CqMappingOptions& options) {
-  return FindContainmentMapping(psi, theta, options).has_value();
+bool IsCqContained(const ConjunctiveQuery& theta,
+                   const ConjunctiveQuery& psi) {
+  return FindContainmentMapping(psi, theta).has_value();
 }
 
-bool IsUcqContained(const UnionOfCqs& phi, const UnionOfCqs& psi,
-                    const CqMappingOptions& options) {
+bool IsUcqContained(const UnionOfCqs& phi, const UnionOfCqs& psi) {
   for (const ConjunctiveQuery& disjunct : phi.disjuncts()) {
     bool contained = false;
     for (const ConjunctiveQuery& target : psi.disjuncts()) {
-      if (IsCqContained(disjunct, target, options)) {
+      if (IsCqContained(disjunct, target)) {
         contained = true;
         break;
       }
@@ -325,18 +197,16 @@ bool IsUcqContained(const UnionOfCqs& phi, const UnionOfCqs& psi,
   return true;
 }
 
-bool IsUcqEquivalent(const UnionOfCqs& phi, const UnionOfCqs& psi,
-                     const CqMappingOptions& options) {
-  return IsUcqContained(phi, psi, options) && IsUcqContained(psi, phi, options);
+bool IsUcqEquivalent(const UnionOfCqs& phi, const UnionOfCqs& psi) {
+  return IsUcqContained(phi, psi) && IsUcqContained(psi, phi);
 }
 
-UnionOfCqs RemoveRedundantDisjuncts(const UnionOfCqs& ucq,
-                                    const CqMappingOptions& options) {
+UnionOfCqs RemoveRedundantDisjuncts(const UnionOfCqs& ucq) {
   std::vector<ConjunctiveQuery> kept;
   for (const ConjunctiveQuery& candidate : ucq.disjuncts()) {
     bool redundant = false;
     for (const ConjunctiveQuery& existing : kept) {
-      if (IsCqContained(candidate, existing, options)) {
+      if (IsCqContained(candidate, existing)) {
         redundant = true;
         break;
       }
@@ -345,7 +215,7 @@ UnionOfCqs RemoveRedundantDisjuncts(const UnionOfCqs& ucq,
     // Drop previously kept disjuncts subsumed by the new one.
     std::vector<ConjunctiveQuery> next;
     for (ConjunctiveQuery& existing : kept) {
-      if (!IsCqContained(existing, candidate, options)) {
+      if (!IsCqContained(existing, candidate)) {
         next.push_back(std::move(existing));
       }
     }

@@ -6,8 +6,7 @@
 
 namespace datalog {
 
-ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq,
-                            const CqMappingOptions& options) {
+ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq) {
   std::vector<Atom> body = cq.body();
   bool changed = true;
   while (changed) {
@@ -23,7 +22,7 @@ ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq,
       // `candidate` has a subset of atoms, so current ⊆ candidate holds
       // trivially; they are equivalent iff candidate ⊆ current, i.e. iff
       // there is a containment mapping from current to candidate.
-      if (FindContainmentMapping(current, candidate, options).has_value()) {
+      if (FindContainmentMapping(current, candidate).has_value()) {
         body = std::move(without);
         changed = true;
         break;
@@ -33,13 +32,12 @@ ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq,
   return ConjunctiveQuery(cq.head_args(), std::move(body));
 }
 
-UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq,
-                       const CqMappingOptions& options) {
+UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq) {
   UnionOfCqs minimized;
   for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
-    minimized.Add(MinimizeCq(cq, options));
+    minimized.Add(MinimizeCq(cq));
   }
-  return RemoveRedundantDisjuncts(minimized, options);
+  return RemoveRedundantDisjuncts(minimized);
 }
 
 }  // namespace datalog

@@ -12,16 +12,11 @@ namespace datalog {
 
 /// Returns an equivalent CQ with a minimal body (the core, unique up to
 /// renaming): greedily removes body atoms a such that the query maps into
-/// itself-minus-a by a containment mapping. `options` selects the
-/// homomorphism-search substrate (IR by default; results are identical
-/// either way).
-ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq,
-                            const CqMappingOptions& options =
-                                CqMappingOptions());
+/// itself-minus-a by a containment mapping.
+ConjunctiveQuery MinimizeCq(const ConjunctiveQuery& cq);
 
 /// Minimizes every disjunct and removes redundant disjuncts.
-UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq,
-                       const CqMappingOptions& options = CqMappingOptions());
+UnionOfCqs MinimizeUcq(const UnionOfCqs& ucq);
 
 }  // namespace datalog
 

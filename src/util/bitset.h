@@ -138,7 +138,7 @@ struct BitsetHash {
 /// kKeepMinimal mode only ⊆-minimal sets survive (a candidate with some
 /// stored subset is rejected; stored supersets of an accepted candidate
 /// are pruned), kKeepMaximal is the mirror image, and kExact keeps every
-/// distinct set (dominance = equality — the ablation arms' dedup).
+/// distinct set (dominance = equality — the exact, non-antichain modes).
 /// Each entry carries a caller payload (e.g. a state serial) so the
 /// caller can mirror prunes into its own parallel structures.
 ///

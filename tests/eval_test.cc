@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/cq/canonical_db.h"
+#include "src/corpus/naive.h"
 #include "src/engine/eval.h"
 #include "src/engine/random_db.h"
 #include "src/util/strings.h"
@@ -239,22 +239,22 @@ TEST(EvalUcqTest, MatchesDatalogEvaluationOfNonrecursiveEquivalent) {
 
 TEST(CanonicalDbTest, FreezeProducesGroundFacts) {
   ConjunctiveQuery cq = MustParseCq("q(X, Y) :- e(X, Z), e(Z, Y), f(a).");
-  CanonicalDatabase frozen = FreezeCq(cq);
+  corpus::NaiveFrozenCq frozen = corpus::NaiveFreezeCq("q", cq);
   ASSERT_EQ(frozen.facts.size(), 3u);
   for (const Atom& fact : frozen.facts) {
     for (const Term& t : fact.args()) {
       EXPECT_TRUE(t.is_constant());
     }
   }
-  EXPECT_EQ(frozen.goal_tuple[0], Term::Constant("@X"));
-  EXPECT_EQ(frozen.goal_tuple[1], Term::Constant("@Y"));
+  EXPECT_EQ(frozen.goal_atom.args()[0], Term::Constant("@X"));
+  EXPECT_EQ(frozen.goal_atom.args()[1], Term::Constant("@Y"));
   // Pre-existing constants survive freezing unchanged.
   EXPECT_EQ(frozen.facts[2].args()[0], Term::Constant("a"));
 }
 
 TEST(CanonicalDbTest, FrozenDatabaseSatisfiesItsOwnQuery) {
   ConjunctiveQuery cq = MustParseCq("q(X, Y) :- e(X, Z), e(Z, Y).");
-  CanonicalDatabase frozen = FreezeCq(cq);
+  corpus::NaiveFrozenCq frozen = corpus::NaiveFreezeCq("q", cq);
   Database db;
   for (const Atom& fact : frozen.facts) {
     ASSERT_TRUE(db.AddFactAtom(fact).ok());
@@ -264,7 +264,7 @@ TEST(CanonicalDbTest, FrozenDatabaseSatisfiesItsOwnQuery) {
   StatusOr<Relation> result = EvaluateUcq(ucq, db);
   ASSERT_TRUE(result.ok());
   Tuple goal;
-  for (const Term& t : frozen.goal_tuple) {
+  for (const Term& t : frozen.goal_atom.args()) {
     goal.push_back(db.dictionary().Lookup(t.name()));
   }
   EXPECT_TRUE(result->Contains(goal));

@@ -211,23 +211,19 @@ TEST(DeciderPruneTest, VerdictAndWitnessIdenticalAcrossPruneArms) {
     thetas.push_back({"top", std::move(top)});  // contained
   }
   for (const ThetaCase& t : thetas) {
-    for (bool use_ir : {true, false}) {
-      ContainmentOptions with_prune;
-      with_prune.use_ir = use_ir;
-      with_prune.prune_unreachable = true;
-      ContainmentOptions without_prune = with_prune;
-      without_prune.prune_unreachable = false;
-      StatusOr<ContainmentDecision> pruned =
-          DecideDatalogInUcq(program, "p", t.theta, with_prune);
-      StatusOr<ContainmentDecision> full =
-          DecideDatalogInUcq(program, "p", t.theta, without_prune);
-      ASSERT_TRUE(pruned.ok()) << t.name << " " << pruned.status();
-      ASSERT_TRUE(full.ok()) << t.name << " " << full.status();
-      ExpectSameDecision(*pruned, *full,
-                         StrCat(t.name, " use_ir=", use_ir ? 1 : 0));
-      EXPECT_EQ(pruned->stats.rules_pruned, 2u) << t.name;
-      EXPECT_EQ(full->stats.rules_pruned, 0u) << t.name;
-    }
+    ContainmentOptions with_prune;
+    with_prune.prune_unreachable = true;
+    ContainmentOptions without_prune = with_prune;
+    without_prune.prune_unreachable = false;
+    StatusOr<ContainmentDecision> pruned =
+        DecideDatalogInUcq(program, "p", t.theta, with_prune);
+    StatusOr<ContainmentDecision> full =
+        DecideDatalogInUcq(program, "p", t.theta, without_prune);
+    ASSERT_TRUE(pruned.ok()) << t.name << " " << pruned.status();
+    ASSERT_TRUE(full.ok()) << t.name << " " << full.status();
+    ExpectSameDecision(*pruned, *full, t.name);
+    EXPECT_EQ(pruned->stats.rules_pruned, 2u) << t.name;
+    EXPECT_EQ(full->stats.rules_pruned, 0u) << t.name;
   }
 }
 
@@ -357,11 +353,9 @@ TEST(LinearPruneTest, PruningAdmitsNonlinearUnreachablePart) {
 TEST(PtreesPruneTest, PruningShrinksPtreesAlphabet) {
   Program program = TcWithJunk();
   StatusOr<PtreesAutomaton> pruned = BuildPtreesAutomaton(
-      program, "p", ExecutionLimits(), /*use_ir=*/true,
-      /*prune_unreachable=*/true);
+      program, "p", ExecutionLimits(), /*prune_unreachable=*/true);
   StatusOr<PtreesAutomaton> full = BuildPtreesAutomaton(
-      program, "p", ExecutionLimits(), /*use_ir=*/true,
-      /*prune_unreachable=*/false);
+      program, "p", ExecutionLimits(), /*prune_unreachable=*/false);
   ASSERT_TRUE(pruned.ok()) << pruned.status();
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_LT(pruned->alphabet.num_labels(), full->alphabet.num_labels());

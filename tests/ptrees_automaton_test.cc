@@ -32,22 +32,18 @@ TEST(ProgramAlphabetTest, LabelLimitEnforced) {
 // alone decides whether the alphabet fits under the label cap.
 TEST(ProgramAlphabetTest, RuleAtExactlyTheCapStillEnumerates) {
   Program program = MustParseProgram("p(X, Y, Z) :- e(X, Y), f(Y, Z).");
-  for (bool use_ir : {true, false}) {
-    StatusOr<ProgramAlphabet> full =
-        BuildProgramAlphabet(program, ExecutionLimits(), use_ir);
-    ASSERT_TRUE(full.ok());
-    const std::size_t n = full->num_labels();
-    const std::size_t v = full->proof_vars.size();
-    ASSERT_EQ(n, v * v * v);
-    StatusOr<ProgramAlphabet> capped =
-        BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(n),
-                             use_ir);
-    ASSERT_TRUE(capped.ok()) << capped.status();
-    ASSERT_EQ(capped->num_labels(), n);
-    for (std::size_t symbol = 0; symbol < n; ++symbol) {
-      EXPECT_EQ(capped->Label(symbol).ToString(),
-                full->Label(symbol).ToString());
-    }
+  StatusOr<ProgramAlphabet> full = BuildProgramAlphabet(program);
+  ASSERT_TRUE(full.ok());
+  const std::size_t n = full->num_labels();
+  const std::size_t v = full->proof_vars.size();
+  ASSERT_EQ(n, v * v * v);
+  StatusOr<ProgramAlphabet> capped =
+      BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(n));
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  ASSERT_EQ(capped->num_labels(), n);
+  for (std::size_t symbol = 0; symbol < n; ++symbol) {
+    EXPECT_EQ(capped->Label(symbol).ToString(),
+              full->Label(symbol).ToString());
   }
 }
 
@@ -58,31 +54,26 @@ TEST(ProgramAlphabetTest, OverCapRuleFailsBeforeEnumerating) {
   StatusOr<ProgramAlphabet> full = BuildProgramAlphabet(program);
   ASSERT_TRUE(full.ok());
   const std::size_t cap = full->num_labels() - 1;
-  for (bool use_ir : {true, false}) {
-    FaultInjector polls;
-    StatusOr<ProgramAlphabet> capped = BuildProgramAlphabet(
-        program, ExecutionLimits().WithMaxLabels(cap).WithFault(&polls),
-        use_ir);
-    ASSERT_FALSE(capped.ok());
-    EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(capped.status().message(),
-              "alphabet exceeded " + std::to_string(cap) + " labels");
-    EXPECT_EQ(polls.polls(), 1u);
+  FaultInjector polls;
+  StatusOr<ProgramAlphabet> capped = BuildProgramAlphabet(
+      program, ExecutionLimits().WithMaxLabels(cap).WithFault(&polls));
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(capped.status().message(),
+            "alphabet exceeded " + std::to_string(cap) + " labels");
+  EXPECT_EQ(polls.polls(), 1u);
 
-    // Faults and smaller step budgets still report first.
-    FaultInjector cancel(FaultInjector::Fault::kCancel, 1);
-    capped = BuildProgramAlphabet(
-        program, ExecutionLimits().WithMaxLabels(cap).WithFault(&cancel),
-        use_ir);
-    ASSERT_FALSE(capped.ok());
-    EXPECT_EQ(capped.status().code(), StatusCode::kCancelled);
-    capped = BuildProgramAlphabet(
-        program, ExecutionLimits().WithMaxLabels(cap).WithMaxSteps(5),
-        use_ir);
-    ASSERT_FALSE(capped.ok());
-    EXPECT_EQ(capped.status().message(),
-              "alphabet enumeration exceeded its step budget of 5");
-  }
+  // Faults and smaller step budgets still report first.
+  FaultInjector cancel(FaultInjector::Fault::kCancel, 1);
+  capped = BuildProgramAlphabet(
+      program, ExecutionLimits().WithMaxLabels(cap).WithFault(&cancel));
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().code(), StatusCode::kCancelled);
+  capped = BuildProgramAlphabet(
+      program, ExecutionLimits().WithMaxLabels(cap).WithMaxSteps(5));
+  ASSERT_FALSE(capped.ok());
+  EXPECT_EQ(capped.status().message(),
+            "alphabet enumeration exceeded its step budget of 5");
 }
 
 // Two rules whose instances add up past the cap but overlap (every
@@ -98,12 +89,29 @@ TEST(ProgramAlphabetTest, RulesOverflowingOnlyTogetherStillEnumerate) {
   const std::size_t n = full->num_labels();
   const std::size_t v = full->proof_vars.size();
   ASSERT_EQ(n, v * v);
-  for (bool use_ir : {true, false}) {
-    StatusOr<ProgramAlphabet> capped = BuildProgramAlphabet(
-        program, ExecutionLimits().WithMaxLabels(n + 1), use_ir);
-    ASSERT_TRUE(capped.ok()) << capped.status();
-    EXPECT_EQ(capped->num_labels(), n);
-  }
+  StatusOr<ProgramAlphabet> capped =
+      BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(n + 1));
+  ASSERT_TRUE(capped.ok()) << capped.status();
+  EXPECT_EQ(capped->num_labels(), n);
+}
+
+// The same two rules at exactly the cap: every instance of the second
+// rule duplicates one of the first's, and duplicates do not count
+// against the cap — only a new distinct label can overflow it.
+TEST(ProgramAlphabetTest, DuplicateInstancesAtTheCapDoNotOverflow) {
+  Program program = MustParseProgram(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, X) :- e(X, X).
+  )");
+  StatusOr<ProgramAlphabet> at_cap =
+      BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(16));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status();
+  EXPECT_EQ(at_cap->num_labels(), 16u);
+  StatusOr<ProgramAlphabet> under_cap =
+      BuildProgramAlphabet(program, ExecutionLimits().WithMaxLabels(15));
+  ASSERT_FALSE(under_cap.ok());
+  EXPECT_EQ(under_cap.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(under_cap.status().message(), "alphabet exceeded 15 labels");
 }
 
 TEST(PtreesAutomatonTest, AcceptsExactlyValidProofTrees) {
@@ -189,13 +197,12 @@ TEST(PtreesAutomatonTest, RoundTripEncoding) {
   });
 }
 
-TEST(PtreesAutomatonTest, InternedArmDecodesLabelsAndStatesLazily) {
+TEST(PtreesAutomatonTest, DecodesLabelsAndStatesLazily) {
   Program tc = SmallTc();
   StatusOr<PtreesAutomaton> automaton = BuildPtreesAutomaton(tc, "p");
   ASSERT_TRUE(automaton.ok());
-  // The interned construction runs entirely on the IR rows: building
-  // the automaton renders no Term-level label or state atom at all.
-  ASSERT_TRUE(automaton->alphabet.interned);
+  // The construction runs entirely on the IR rows: building the
+  // automaton renders no Term-level label or state atom at all.
   EXPECT_EQ(automaton->alphabet.num_decoded_labels(), 0u);
   EXPECT_EQ(automaton->num_decoded_state_atoms(), 0u);
   // Rendering is per-symbol on demand and cached: touching one label
@@ -208,15 +215,9 @@ TEST(PtreesAutomatonTest, InternedArmDecodesLabelsAndStatesLazily) {
   EXPECT_EQ(automaton->num_decoded_state_atoms(), 1u);
   EXPECT_EQ(&automaton->StateAtom(3), &state);
   EXPECT_EQ(automaton->num_decoded_state_atoms(), 1u);
-  // The lazy views agree with the eager string arm, whose counters stay
-  // zero no matter how many views are taken.
-  StatusOr<PtreesAutomaton> eager =
-      BuildPtreesAutomaton(tc, "p", ExecutionLimits(), /*use_ir=*/false);
-  ASSERT_TRUE(eager.ok());
-  EXPECT_EQ(label.ToString(), eager->alphabet.Label(7).ToString());
-  EXPECT_EQ(state.ToString(), eager->StateAtom(3).ToString());
-  EXPECT_EQ(eager->alphabet.num_decoded_labels(), 0u);
-  EXPECT_EQ(eager->num_decoded_state_atoms(), 0u);
+  // The decoded views resolve back to their own ids.
+  EXPECT_EQ(automaton->alphabet.SymbolOf(label), 7);
+  EXPECT_EQ(automaton->StateOf(state), 3);
   // A full StateOf round-trip decodes every state exactly once.
   for (std::size_t s = 0; s < automaton->num_states(); ++s) {
     EXPECT_EQ(automaton->StateOf(automaton->StateAtom(s)),
