@@ -1,14 +1,12 @@
 // Experiment E13 (paper §1 motivation): recursion elimination pays off at
 // evaluation time. Evaluates Example 1.1's recursive buys1 against its
-// equivalent nonrecursive rewriting on synthetic data, and measures
-// semi-naive vs naive fixpoint evaluation on transitive closure.
-//
-// The *Scan variants ablate the indexed engine: they disable hash column
-// indexes and runtime join ordering, reproducing the pre-index engine's
-// scan-every-tuple joins in textual order. Comparing e.g.
-// BM_TransitiveClosureSemiNaive/128 against
-// BM_TransitiveClosureSemiNaiveScan/128 quantifies the index win;
-// per-iteration join_probes are exported as benchmark counters.
+// equivalent nonrecursive rewriting on synthetic data, and measures the
+// engine (indexed, cost-planned, stratified semi-naive fixpoint) on
+// transitive closure, join-order, plan-cache and stratification
+// workloads, plus the containment decider and automata constructions.
+// Per-iteration join_probes and other work counters are exported as
+// benchmark counters; tests/eval_index_test.cc pins the engine's probe
+// counts against those of the retired scan engine and greedy planner.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -29,20 +27,6 @@
 namespace datalog {
 namespace {
 
-EvalOptions ScanOptions(bool semi_naive) {
-  EvalOptions options;
-  options.semi_naive = semi_naive;
-  options.use_index = false;
-  options.reorder_joins = false;
-  return options;
-}
-
-EvalOptions IndexedOptions(bool semi_naive) {
-  EvalOptions options;
-  options.semi_naive = semi_naive;
-  return options;
-}
-
 Database BuysDatabase(int people, int items) {
   Database db;
   for (int p = 0; p < people; ++p) {
@@ -56,13 +40,13 @@ Database BuysDatabase(int people, int items) {
   return db;
 }
 
-void RunBuys(benchmark::State& state, const EvalOptions& options) {
+void BM_RecursiveBuys(benchmark::State& state) {
   Program program = Buys1Program();
   Database db = BuysDatabase(static_cast<int>(state.range(0)), 40);
   EvalStats stats;
   for (auto _ : state) {
     StatusOr<Relation> result =
-        EvaluateGoal(program, "buys", db, options, &stats);
+        EvaluateGoal(program, "buys", db, EvalOptions(), &stats);
     DATALOG_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
@@ -72,15 +56,7 @@ void RunBuys(benchmark::State& state, const EvalOptions& options) {
       benchmark::Counter::kAvgThreads);
 }
 
-void BM_RecursiveBuys(benchmark::State& state) {
-  RunBuys(state, IndexedOptions(/*semi_naive=*/true));
-}
 BENCHMARK(BM_RecursiveBuys)->Arg(30)->Arg(60)->Arg(120);
-
-void BM_RecursiveBuysScan(benchmark::State& state) {
-  RunBuys(state, ScanOptions(/*semi_naive=*/true));
-}
-BENCHMARK(BM_RecursiveBuysScan)->Arg(30)->Arg(60)->Arg(120);
 
 void BM_NonrecursiveBuys(benchmark::State& state) {
   Program program = Buys1NonrecursiveProgram();
@@ -101,12 +77,13 @@ Database LineGraph(int length) {
   return db;
 }
 
-void RunTransitiveClosure(benchmark::State& state, const EvalOptions& options) {
+void BM_TransitiveClosureSemiNaive(benchmark::State& state) {
   Program tc = TransitiveClosureProgram("e", "e");
   Database db = LineGraph(static_cast<int>(state.range(0)));
   EvalStats stats;
   for (auto _ : state) {
-    StatusOr<Relation> result = EvaluateGoal(tc, "p", db, options, &stats);
+    StatusOr<Relation> result =
+        EvaluateGoal(tc, "p", db, EvalOptions(), &stats);
     DATALOG_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
@@ -115,50 +92,11 @@ void RunTransitiveClosure(benchmark::State& state, const EvalOptions& options) {
           static_cast<double>(state.iterations()),
       benchmark::Counter::kAvgThreads);
 }
-
-void BM_TransitiveClosureSemiNaive(benchmark::State& state) {
-  RunTransitiveClosure(state, IndexedOptions(/*semi_naive=*/true));
-}
 BENCHMARK(BM_TransitiveClosureSemiNaive)
     ->Arg(32)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256);
-
-void BM_TransitiveClosureSemiNaiveScan(benchmark::State& state) {
-  RunTransitiveClosure(state, ScanOptions(/*semi_naive=*/true));
-}
-BENCHMARK(BM_TransitiveClosureSemiNaiveScan)
-    ->Arg(32)
-    ->Arg(64)
-    ->Arg(128)
-    ->Arg(256);
-
-void BM_TransitiveClosureNaive(benchmark::State& state) {
-  RunTransitiveClosure(state, IndexedOptions(/*semi_naive=*/false));
-}
-BENCHMARK(BM_TransitiveClosureNaive)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureNaiveScan(benchmark::State& state) {
-  RunTransitiveClosure(state, ScanOptions(/*semi_naive=*/false));
-}
-BENCHMARK(BM_TransitiveClosureNaiveScan)->Arg(32)->Arg(64)->Arg(128);
-
-// Isolates the two legs of the indexed engine: indexes without join
-// reordering, and reordering without indexes.
-void BM_TransitiveClosureIndexNoReorder(benchmark::State& state) {
-  EvalOptions options;
-  options.reorder_joins = false;
-  RunTransitiveClosure(state, options);
-}
-BENCHMARK(BM_TransitiveClosureIndexNoReorder)->Arg(32)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureReorderNoIndex(benchmark::State& state) {
-  EvalOptions options;
-  options.use_index = false;
-  RunTransitiveClosure(state, options);
-}
-BENCHMARK(BM_TransitiveClosureReorderNoIndex)->Arg(32)->Arg(64)->Arg(128);
 
 // --- parallel evaluation: the thread sweep ----------------------------
 //
@@ -214,27 +152,35 @@ BENCHMARK(BM_TransitiveClosureRandomGraphThreads)
 
 // --- hub-bucket delta seeks (the BucketArena chunk directory) ---------
 //
-// A "broom" graph — a chain feeding a hub that fans out to Arg(0)
-// leaves — grows index buckets with hundreds of chunks, and textual
-// join order (reordering off) makes every recursive-rule evaluation
-// delta-probe those buckets: each probe seeks the watermark inside a
-// fat bucket, the regression case for SkipBelow's chunk-id directory
-// (log-time binary search vs the linear chunk-header walk).
+// A chain of 64 `e` edges whose last node owns Arg(0) `leaf` edges:
+//   p(X, Y) :- leaf(X, Y).
+//   p(X, Y) :- e(X, Z), p(Z, Y).
+// Every round derives one more chain node's Arg(0) paths, so p's
+// first-column buckets grow into hubs of hundreds of chunks. The delta
+// window stays Arg(0) rows wide while the selector `e` has 64 rows, so
+// the cost-based plan scans `e` first and delta-probes p with Z bound:
+// each probe seeks the watermark inside a fat bucket — the regression
+// case for SkipBelow's chunk-id directory (log-time binary search vs the
+// linear chunk-header walk).
 void BM_TransitiveClosureHubDeltaSeek(benchmark::State& state) {
   constexpr int kChain = 64;
-  Program tc = TransitiveClosureProgram("e", "e");
+  StatusOr<Program> parsed = ParseProgram(R"(
+    p(X, Y) :- leaf(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+  )");
+  DATALOG_CHECK(parsed.ok());
+  Program& tc = *parsed;
   Database db;
   for (int i = 0; i < kChain; ++i) {
     db.AddFact("e", {StrCat("c", i), StrCat("c", i + 1)});
   }
   for (int j = 0; j < static_cast<int>(state.range(0)); ++j) {
-    db.AddFact("e", {StrCat("c", kChain), StrCat("m", j)});
+    db.AddFact("leaf", {StrCat("c", kChain), StrCat("m", j)});
   }
-  EvalOptions options;
-  options.reorder_joins = false;  // keep the delta atom in probe position
   EvalStats stats;
   for (auto _ : state) {
-    StatusOr<Relation> result = EvaluateGoal(tc, "p", db, options, &stats);
+    StatusOr<Relation> result =
+        EvaluateGoal(tc, "p", db, EvalOptions(), &stats);
     DATALOG_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
@@ -254,36 +200,27 @@ void BM_TransitiveClosureRandomGraph(benchmark::State& state) {
   db_options.tuples_per_relation = static_cast<int>(state.range(0)) * 2;
   db_options.seed = 42;
   Database db = RandomDatabaseFor(tc, db_options);
-  EvalOptions options;
-  options.use_index = state.range(1) != 0;
-  options.reorder_joins = state.range(1) != 0;
   for (auto _ : state) {
-    StatusOr<Relation> result = EvaluateGoal(tc, "p", db, options);
+    StatusOr<Relation> result = EvaluateGoal(tc, "p", db);
     DATALOG_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_TransitiveClosureRandomGraph)
-    ->Args({24, 1})
-    ->Args({24, 0})
-    ->Args({48, 1})
-    ->Args({48, 0});
+BENCHMARK(BM_TransitiveClosureRandomGraph)->Arg(24)->Arg(48);
 
 // --- cost-based join planning (src/engine/eval.cc planner) ------------
 //
 // A hub join where greedy most-bound-args ordering is a bad plan:
 // reach(W) :- reach(X), hub(X, Y), mid(Y, Z), sel(Z, W) with hub
 // fan-out Arg(0) per chain node, a sparse mid (in-degree 16 per Z
-// value), and |sel| tiny. Greedy walks the rule forward from the delta:
-// the fat hub bucket (fan-out candidates) times mid's per-Y out-degree,
-// each combination spawning a sel probe — fan_out * (1 + 2 * 16) probes
-// per delta row. The cost model starts from the cheap end instead: scan
-// sel, probe mid with Z bound (in-degree-sized buckets), and finish on
-// hub with both columns bound — chain-sized work per delta row plus a
-// one-time two-column hub index. Arg(1) toggles
-// EvalOptions::cost_based; the differential suites pin both arms to the
-// identical fixpoint, so the time ratio plus join_probes isolate the
-// ordering.
+// value), and |sel| tiny. A greedy planner walks the rule forward from
+// the delta: the fat hub bucket (fan-out candidates) times mid's per-Y
+// out-degree, each combination spawning a sel probe — fan_out *
+// (1 + 2 * 16) probes per delta row. The cost model starts from the
+// cheap end instead: scan sel, probe mid with Z bound (in-degree-sized
+// buckets), and finish on hub with both columns bound — chain-sized work
+// per delta row plus a one-time two-column hub index. join_probes
+// tracks the ordering.
 void BM_CostBasedJoinOrder(benchmark::State& state) {
   constexpr int kChain = 24;
   constexpr int kMidInDegree = 16;
@@ -310,12 +247,10 @@ void BM_CostBasedJoinOrder(benchmark::State& state) {
   for (int i = 0; i < kChain; ++i) {
     db.AddFact("sel", {StrCat("c", i), StrCat("a", i + 1)});
   }
-  EvalOptions options;
-  options.cost_based = state.range(1) != 0;
   EvalStats stats;
   for (auto _ : state) {
     StatusOr<Relation> result =
-        EvaluateGoal(prog, "reach", db, options, &stats);
+        EvaluateGoal(prog, "reach", db, EvalOptions(), &stats);
     DATALOG_CHECK(result.ok());
     benchmark::DoNotOptimize(result);
   }
@@ -327,11 +262,7 @@ void BM_CostBasedJoinOrder(benchmark::State& state) {
       static_cast<double>(stats.plans_rebuilt) / iterations,
       benchmark::Counter::kAvgThreads);
 }
-BENCHMARK(BM_CostBasedJoinOrder)
-    ->Args({192, 1})
-    ->Args({192, 0})
-    ->Args({256, 1})
-    ->Args({256, 0});
+BENCHMARK(BM_CostBasedJoinOrder)->Arg(192)->Arg(256);
 
 // Plan-cache steady state: deep chain transitive closure under staged
 // parallel rounds (the database is frozen per round, so rounds track
@@ -343,7 +274,7 @@ BENCHMARK(BM_CostBasedJoinOrder)
 void BM_PlanCacheSteadyState(benchmark::State& state) {
   Program tc = TransitiveClosureProgram("e", "e");
   Database db = LineGraph(static_cast<int>(state.range(0)));
-  EvalOptions options;  // cost_based defaults on
+  EvalOptions options;
   options.num_threads = 2;
   EvalStats stats;
   for (auto _ : state) {
@@ -659,11 +590,10 @@ BENCHMARK(BM_TmReduction)->Unit(benchmark::kMillisecond);
 // --- SCC-stratified evaluation (src/analysis/stratify.h) ---------------
 //
 // DistProgram(Arg(0)) is a tower of strata (dist0 .. distN, each its own
-// SCC); a flat fixpoint re-evaluates every layer's rules in every round,
-// while strata-ordered evaluation saturates each layer once. Arg(1)
-// toggles EvalOptions::use_strata; the differential tests
-// (tests/prune_strata_test.cc) pin that both arms compute the same
-// fixpoint, this case tracks the work gap (join_probes, rounds_saved).
+// SCC); a flat fixpoint would re-evaluate every layer's rules in every
+// round, while strata-ordered evaluation saturates each layer once.
+// tests/prune_strata_test.cc pins the fixpoint against the naive oracle;
+// this case tracks the work (join_probes, rounds_saved).
 
 void BM_StratifiedEval(benchmark::State& state) {
   Program dist = DistProgram(static_cast<int>(state.range(0)));
@@ -672,13 +602,11 @@ void BM_StratifiedEval(benchmark::State& state) {
   db_options.tuples_per_relation = 48;
   db_options.seed = 7;
   Database edb = RandomDatabaseFor(dist, db_options);
-  EvalOptions options;
-  options.use_strata = state.range(1) != 0;
   EvalStats stats;
   for (auto _ : state) {
     EvalStats round_stats;
     StatusOr<Database> result =
-        EvaluateProgram(dist, edb, options, &round_stats);
+        EvaluateProgram(dist, edb, EvalOptions(), &round_stats);
     DATALOG_CHECK(result.ok()) << result.status();
     stats = round_stats;
     benchmark::DoNotOptimize(result);
@@ -687,21 +615,15 @@ void BM_StratifiedEval(benchmark::State& state) {
   state.counters["rounds_saved"] = static_cast<double>(stats.rounds_saved);
   state.counters["join_probes"] = static_cast<double>(stats.join_probes);
 }
-BENCHMARK(BM_StratifiedEval)
-    ->Args({3, 1})
-    ->Args({3, 0})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_StratifiedEval)->Arg(3)->Arg(4);
 
 // --- goal-directed rule pruning in the decider -------------------------
 //
 // Transitive closure carrying Arg(0) unreachable junk rules (a recursive
-// island per index); Arg(1) toggles
-// ContainmentOptions::prune_unreachable. With pruning the decider's
-// rounds skip the junk rules outright; without it every round re-fires
-// them. Verdict and witness are pinned identical by
-// tests/prune_strata_test.cc; rules_pruned is exported to keep the
-// workload honest.
+// island per index). The decider's rounds skip the junk rules outright;
+// tests/prune_strata_test.cc pins verdict and witness to those of the
+// hand-pruned program, and rules_pruned is exported to keep the workload
+// honest.
 
 void BM_DeciderGoalPruning(benchmark::State& state) {
   Program program = TransitiveClosureProgram("e", "e");
@@ -714,12 +636,10 @@ void BM_DeciderGoalPruning(benchmark::State& state) {
          Atom(junk, {Term::Variable("Y")})}));
   }
   UnionOfCqs theta = PathQueries(3);
-  ContainmentOptions options;
-  options.prune_unreachable = state.range(1) != 0;
   ContainmentStats stats;
   for (auto _ : state) {
     StatusOr<ContainmentDecision> decision =
-        DecideDatalogInUcq(program, "p", theta, options);
+        DecideDatalogInUcq(program, "p", theta);
     DATALOG_CHECK(decision.ok()) << decision.status();
     DATALOG_CHECK(!decision->contained);
     stats = decision->stats;
@@ -730,11 +650,7 @@ void BM_DeciderGoalPruning(benchmark::State& state) {
   state.counters["combine_calls"] =
       static_cast<double>(stats.combine_calls);
 }
-BENCHMARK(BM_DeciderGoalPruning)
-    ->Args({6, 1})
-    ->Args({6, 0})
-    ->Args({12, 1})
-    ->Args({12, 0});
+BENCHMARK(BM_DeciderGoalPruning)->Arg(6)->Arg(12);
 
 }  // namespace
 }  // namespace datalog

@@ -68,8 +68,7 @@ struct ContainmentChecker::Context {
   std::vector<const Rule*> ordered_rules;
   // Parallel to ordered_rules: 1 when the rule's head predicate is
   // backward-reachable from the goal. An unreachable rule can head no
-  // subtree of a goal-rooted proof tree, so runs with
-  // ContainmentOptions::prune_unreachable skip it entirely.
+  // subtree of a goal-rooted proof tree, so every run skips it entirely.
   std::vector<char> rule_reachable;
 
   // --- interned substrate ----------------------------------------------
@@ -361,10 +360,8 @@ class DeciderRun {
     // carried-IR reuse in the stats.
     decision.stats.program_ir_builds = ctx_.ir_builds_paid;
     ctx_.ir_builds_paid = 0;
-    if (options_.prune_unreachable) {
-      for (char reachable : ctx_.rule_reachable) {
-        if (!reachable) ++decision.stats.rules_pruned;
-      }
+    for (char reachable : ctx_.rule_reachable) {
+      if (!reachable) ++decision.stats.rules_pruned;
     }
     if (ctx_.rule_caches.empty()) {
       ctx_.rule_caches.resize(ctx_.ordered_rules.size());
@@ -532,7 +529,7 @@ class DeciderRun {
       // Goal-directed pruning: a rule whose head predicate cannot reach
       // the goal contributes states only to unreachable goal entries,
       // which no root acceptance ever consults — skip its enumeration.
-      if (options_.prune_unreachable && !ctx_.rule_reachable[r]) continue;
+      if (!ctx_.rule_reachable[r]) continue;
       ContainmentChecker::Context::RuleCache& cache = ctx_.rule_caches[r];
       for (std::uint32_t id : cache.instance_ids) {
         if (need_terms) {

@@ -49,14 +49,6 @@ struct ContainmentOptions {
   bool antichain = true;
   /// Build counterexample proof trees (small cost; disable for benches).
   bool track_witness = true;
-  /// Skip rules that are not backward-reachable from the goal predicate
-  /// (src/analysis/reachability.h): such a rule can head no subtree of a
-  /// goal-rooted proof tree, so the verdict AND the counterexample
-  /// witness are byte-identical with this off — only the per-round rule
-  /// sweep shrinks (state serials and discovery counters differ, which is
-  /// the point). Ablation switch; ContainmentStats::rules_pruned reports
-  /// the rules skipped.
-  bool prune_unreachable = true;
   /// The governed bounds (src/util/governor.h): deadline, CancelToken,
   /// fault injection, step budget (one step = one processed rule
   /// instance), and the state cap (`limits.max_states`, resolving 0 to
@@ -107,9 +99,11 @@ struct ContainmentStats {
   /// Integer pinned-image comparisons performed by the combination and
   /// root-acceptance steps.
   std::size_t pinned_compares = 0;
-  /// Rules skipped by goal-directed pruning (prune_unreachable): rules of
-  /// Π whose head predicate is not backward-reachable from the goal. 0
-  /// when the option is off or every rule is reachable.
+  /// Rules skipped by goal-directed pruning: rules of Π whose head
+  /// predicate is not backward-reachable from the goal
+  /// (src/analysis/reachability.h). Such a rule can head no subtree of a
+  /// goal-rooted proof tree, so skipping it changes neither the verdict
+  /// nor the counterexample witness. 0 when every rule is reachable.
   std::size_t rules_pruned = 0;
   /// Full AST→IR interning passes this Decide call paid for the program.
   /// 0 when the program's carried ProgramIr (ir::CarriedIr) was already

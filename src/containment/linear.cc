@@ -253,10 +253,7 @@ StatusOr<LinearContainmentResult> DecideLinearDatalogInUcq(
   // Goal-directed pruning first: unreachable rules label no goal-rooted
   // path, so everything below — including the linearity check — runs on
   // the reachable fragment.
-  std::optional<Program> pruned;
-  if (options.prune_unreachable) {
-    pruned = PruneUnreachableRules(program, goal);
-  }
+  const std::optional<Program> pruned = PruneUnreachableRules(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   if (!IsLinearInIdb(prog)) {
     return Status(InvalidArgumentError(

@@ -37,13 +37,6 @@ struct LinearContainmentOptions {
   /// enumeration, the theta automata's on-demand expansion (one step per
   /// expanded state), and the NFA containment check.
   ExecutionLimits limits;
-  /// Drop rules not backward-reachable from the goal before the
-  /// linearity check and the word-automata constructions
-  /// (src/analysis/reachability.h): unreachable rules label no
-  /// goal-rooted path, so the verdict and counterexample are unchanged
-  /// while the alphabet and state spaces shrink. Also admits programs
-  /// whose *unreachable* part is nonlinear. Ablation switch.
-  bool prune_unreachable = true;
 };
 
 struct LinearContainmentResult {

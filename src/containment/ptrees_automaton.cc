@@ -307,14 +307,12 @@ const Atom& PtreesAutomaton::StateAtom(std::size_t state) const {
 
 StatusOr<PtreesAutomaton> BuildPtreesAutomaton(const Program& program,
                                                const std::string& goal,
-                                               const ExecutionLimits& limits,
-                                               bool prune_unreachable) {
+                                               const ExecutionLimits& limits) {
   // Goal-directed pruning: an unreachable rule's instances could label no
   // node of a goal-rooted run, so dropping them changes no accepted tree
   // — only the alphabet size. (The alphabet copies the rules, so the
   // pruned program can be call-local.)
-  std::optional<Program> pruned;
-  if (prune_unreachable) pruned = PruneUnreachableRules(program, goal);
+  const std::optional<Program> pruned = PruneUnreachableRules(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   PtreesAutomaton automaton;
   DATALOG_ASSIGN_OR_RETURN(automaton.alphabet,

@@ -134,15 +134,13 @@ struct PtreesAutomaton {
 };
 
 /// Builds A^ptrees_{Q,Π} (Proposition 5.9), with `limits` as for
-/// BuildProgramAlphabet. By default rules not backward-reachable from `goal` are dropped first
-/// (src/analysis/reachability.h) — they cannot label any node of a
-/// goal-rooted proof tree, so the accepted language is unchanged while
-/// the alphabet (exponential per rule) shrinks; `prune_unreachable =
-/// false` keeps the full alphabet for cross-validation.
+/// BuildProgramAlphabet. Rules not backward-reachable from `goal` are
+/// dropped first (src/analysis/reachability.h) — they cannot label any
+/// node of a goal-rooted proof tree, so the accepted language is
+/// unchanged while the alphabet (exponential per rule) shrinks.
 StatusOr<PtreesAutomaton> BuildPtreesAutomaton(
     const Program& program, const std::string& goal,
-    const ExecutionLimits& limits = ExecutionLimits(),
-    bool prune_unreachable = true);
+    const ExecutionLimits& limits = ExecutionLimits());
 
 /// Encodes a proof tree as a labeled tree over the alphabet; nullopt if a
 /// node's rule instance is not an alphabet label (i.e. uses variables

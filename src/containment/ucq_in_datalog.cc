@@ -51,8 +51,7 @@ StatusOr<bool> IsCqContainedInDatalog(const ConjunctiveQuery& theta,
                                       const std::string& goal,
                                       EvalStats* stats,
                                       const CanonicalDbOptions& options) {
-  std::optional<Program> pruned;
-  if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
+  const std::optional<Program> pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   // A bare CQ has no carrier to cache on; intern just this disjunct
   // (no union copy, no full FromUnion pass). Drivers that loop many CQs
@@ -69,8 +68,7 @@ StatusOr<bool> IsUcqDisjunctContainedInDatalog(
     const UnionOfCqs& theta, std::size_t disjunct, const Program& program,
     const std::string& goal, EvalStats* stats,
     const CanonicalDbOptions& options) {
-  std::optional<Program> pruned;
-  if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
+  const std::optional<Program> pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   return IsDisjunctContained(*ir::CarriedIr(theta), disjunct, prog, goal,
                              stats, options.eval, options.witness);
@@ -84,8 +82,7 @@ StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
                                        std::size_t* failing_disjunct) {
   // Prune once, up front: both the sequential loop and the fan-out below
   // evaluate the same (possibly pruned) program per disjunct.
-  std::optional<Program> pruned;
-  if (options.prune_unreachable) pruned = PruneForEvaluation(program, goal);
+  const std::optional<Program> pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   const std::shared_ptr<ir::ProgramIr> theta_ir = ir::CarriedIr(theta);
   const std::size_t n = theta.disjuncts().size();

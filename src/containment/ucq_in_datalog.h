@@ -50,15 +50,6 @@ struct CanonicalDbOptions {
   /// still decides whether fan-out happens at all. Unowned; must outlive
   /// the call.
   ThreadPool* pool = nullptr;
-  /// Drop the program's rules that are not backward-reachable from the
-  /// goal before the canonical-database evaluations, via the
-  /// active-domain-guarded PruneForEvaluation
-  /// (src/analysis/reachability.h) — the guard declines to prune exactly
-  /// when removing a rule's constants could change an unsafe retained
-  /// rule's enumeration, so verdicts are identical with this off
-  /// (ablation switch). Pruning happens once per call, before any
-  /// disjunct loop or fan-out.
-  bool prune_unreachable = true;
   /// When non-null, the single-disjunct entry points
   /// (IsCqContainedInDatalog, IsUcqDisjunctContainedInDatalog) fill in
   /// the frozen database they evaluated, for certificate export. The
@@ -75,6 +66,13 @@ struct CanonicalDbOptions {
 /// derives the goal over every database, which the canonical-database
 /// method checks on the frozen instance. When `stats` is non-null, the
 /// engine's work counters accumulate into it across calls.
+///
+/// All three entries first drop the rules not backward-reachable from
+/// the goal, via the active-domain-guarded PruneForEvaluation
+/// (src/analysis/reachability.h): the guard declines to prune exactly
+/// when removing a rule's constants could change an unsafe retained
+/// rule's enumeration, so pruning never changes a verdict. The union
+/// entry prunes once, before any disjunct loop or fan-out.
 StatusOr<bool> IsCqContainedInDatalog(
     const ConjunctiveQuery& theta, const Program& program,
     const std::string& goal, EvalStats* stats = nullptr,

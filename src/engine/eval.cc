@@ -80,17 +80,17 @@ struct CompiledRule {
   std::vector<char> in_head;
   // Plan cache, one slot per delta position: plans[0] is the full
   // (no-delta) plan, plans[i + 1] the plan with body atom i as the
-  // delta. Only used with EvalOptions::cost_based (see PlanFor).
+  // delta (see PlanFor).
   std::vector<CachedPlan> plans;
 };
 
 constexpr int kUnbound = -1;
 
-// Staging shards per parallel round when EvalOptions::num_shards is 0.
-// Fixed (not derived from the thread count) so the merged row order —
-// and therefore the whole result database — is identical for every
-// parallel thread count; see "Parallel evaluation" in docs/engine.md.
-constexpr std::size_t kDefaultShards = 64;
+// Staging shards per parallel round. Fixed (not derived from the thread
+// count) so the merged row order — and therefore the whole result
+// database — is identical for every parallel thread count; see
+// "Parallel evaluation" in docs/engine.md.
+constexpr std::size_t kNumShards = 64;
 
 class RuleCompiler {
  public:
@@ -187,7 +187,6 @@ struct MatchContext {
   // Parallel staging: flat [predicate, args...] rows per shard; unused
   // (and empty) in serial mode.
   bool staging = false;
-  std::size_t num_shards = 0;
   std::vector<std::vector<int>> shard_rows;
   // Head tuples emitted (duplicates included); matching aborts once it
   // exceeds the budget. The serial context accumulates across the whole
@@ -210,9 +209,9 @@ struct MatchContext {
 
 // Evaluates rule bodies against a database, with one body atom optionally
 // restricted to the delta window (semi-naive evaluation). Joins probe
-// per-relation hash column indexes and follow a greedy runtime join
-// order; both behaviors degrade to full scans in textual order when the
-// corresponding EvalOptions switches are off.
+// per-relation hash column indexes in a cost-based runtime join order;
+// only unindexable atoms (arity 0 or >= 32) and steps with nothing bound
+// and nothing to project fall back to scanning.
 //
 // With num_threads == 1 (the default), derived facts are inserted into
 // the database immediately (chaotic iteration reaches the same least
@@ -234,17 +233,9 @@ class Evaluator {
     for (const Rule& rule : program.rules()) {
       rules_.push_back(compiler.Compile(rule));
     }
-    // Rule groups, in evaluation order. With stratification on, the SCC
-    // strata of the dependence graph (dependencies first); otherwise one
-    // group holding every rule — the unstratified fixpoint.
-    if (options_.use_strata) {
-      rule_groups_ = StratifyProgram(program).strata;
-    } else if (!rules_.empty()) {
-      rule_groups_.emplace_back();
-      for (std::size_t r = 0; r < rules_.size(); ++r) {
-        rule_groups_.back().push_back(r);
-      }
-    }
+    // Rule groups, in evaluation order: the SCC strata of the dependence
+    // graph, dependencies first.
+    rule_groups_ = StratifyProgram(program).strata;
     active_domain_ = db_.ActiveDomain();
     domain_set_.insert(active_domain_.begin(), active_domain_.end());
     // Constants mentioned only in the program are part of the domain too.
@@ -279,7 +270,7 @@ class Evaluator {
       if (pool.has_value()) {
         s = RunParallel(*pool, group);
       } else {
-        s = options_.semi_naive ? RunSemiNaive(group) : RunNaive(group);
+        s = RunSemiNaive(group);
       }
       if (!s.ok()) break;
     }
@@ -314,8 +305,7 @@ class Evaluator {
     if (is_delta) {
       rows = size - std::min(size, delta->lo[atom.predicate]);
     }
-    if (key_mask == 0 || !options_.use_index || atom.arity == 0 ||
-        atom.arity >= 32) {
+    if (key_mask == 0 || atom.arity == 0 || atom.arity >= 32) {
       return rows;
     }
     const ColumnIndex* index =
@@ -330,16 +320,12 @@ class Evaluator {
   }
 
   // Orders each rule body at runtime (sizes and bucket statistics are
-  // only known then). Cost-based (the default): repeatedly pick the
-  // unplaced atom with the smallest EstimateCost given the variables
-  // bound so far, breaking ties toward more bound argument positions,
-  // then toward the delta atom (its window only shrinks), then toward
-  // textual order — all deterministic. Greedy (cost_based off): most
-  // bound argument positions first, ties toward the smaller relation,
-  // with the delta atom winning exact ties. With reordering off,
-  // textual order is kept. Either way, each step's column patterns are
-  // derived afterwards and its index is resolved (and caught up) up
-  // front.
+  // only known then): repeatedly pick the unplaced atom with the smallest
+  // EstimateCost given the variables bound so far, breaking ties toward
+  // more bound argument positions, then toward the delta atom (its
+  // window only shrinks), then toward textual order — all deterministic.
+  // Each step's column patterns are derived afterwards and its index is
+  // resolved (and caught up) up front.
   void PlanJoin(const CompiledRule& rule, int delta_atom,
                 const DeltaWindow* delta, std::vector<JoinStep>* out) {
     const std::size_t n = rule.body.size();
@@ -347,87 +333,44 @@ class Evaluator {
     plan.assign(n, JoinStep());
     std::vector<char>& bound = bound_scratch_;
     bound.assign(rule.num_variables, 0);
-    if (!options_.reorder_joins) {
-      for (std::size_t i = 0; i < n; ++i) plan[i].atom = i;
-    } else if (options_.cost_based) {
-      std::vector<char>& placed = placed_scratch_;
-      placed.assign(n, 0);
-      for (std::size_t step = 0; step < n; ++step) {
-        std::size_t best = n;
-        std::size_t best_est = 0;
-        std::size_t best_bound = 0;
-        bool best_is_delta = false;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (placed[i]) continue;
-          const CompiledAtom& atom = rule.body[i];
-          std::uint32_t key_mask = 0;
-          std::size_t bound_args = 0;
-          for (std::size_t pos = 0; pos < atom.arity; ++pos) {
-            if (atom.constant[pos] >= 0 || bound[atom.variable[pos]]) {
-              if (pos < 32) key_mask |= 1u << pos;
-              ++bound_args;
-            }
-          }
-          const bool is_delta = static_cast<int>(i) == delta_atom;
-          std::size_t est = EstimateCost(atom, key_mask, is_delta, delta);
-          if (best == n || est < best_est ||
-              (est == best_est &&
-               (bound_args > best_bound ||
-                (bound_args == best_bound && is_delta && !best_is_delta)))) {
-            best = i;
-            best_est = est;
-            best_bound = bound_args;
-            best_is_delta = is_delta;
+    std::vector<char>& placed = placed_scratch_;
+    placed.assign(n, 0);
+    for (std::size_t step = 0; step < n; ++step) {
+      std::size_t best = n;
+      std::size_t best_est = 0;
+      std::size_t best_bound = 0;
+      bool best_is_delta = false;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (placed[i]) continue;
+        const CompiledAtom& atom = rule.body[i];
+        std::uint32_t key_mask = 0;
+        std::size_t bound_args = 0;
+        for (std::size_t pos = 0; pos < atom.arity; ++pos) {
+          if (atom.constant[pos] >= 0 || bound[atom.variable[pos]]) {
+            if (pos < 32) key_mask |= 1u << pos;
+            ++bound_args;
           }
         }
-        placed[best] = 1;
-        plan[step].atom = best;
-        if (stats_ != nullptr) stats_->est_cost_total += best_est;
-        for (int v : rule.body[best].variable) {
-          if (v >= 0) bound[v] = 1;
+        const bool is_delta = static_cast<int>(i) == delta_atom;
+        std::size_t est = EstimateCost(atom, key_mask, is_delta, delta);
+        if (best == n || est < best_est ||
+            (est == best_est &&
+             (bound_args > best_bound ||
+              (bound_args == best_bound && is_delta && !best_is_delta)))) {
+          best = i;
+          best_est = est;
+          best_bound = bound_args;
+          best_is_delta = is_delta;
         }
       }
-      bound.assign(rule.num_variables, 0);
-    } else {
-      std::vector<char>& placed = placed_scratch_;
-      placed.assign(n, 0);
-      for (std::size_t step = 0; step < n; ++step) {
-        std::size_t best = n;
-        std::size_t best_bound = 0;
-        std::size_t best_size = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (placed[i]) continue;
-          const CompiledAtom& atom = rule.body[i];
-          std::size_t bound_args = 0;
-          for (std::size_t pos = 0; pos < atom.arity; ++pos) {
-            if (atom.constant[pos] >= 0 || bound[atom.variable[pos]]) {
-              ++bound_args;
-            }
-          }
-          std::size_t size = db_.RelationOf(atom.predicate).size();
-          // The delta atom wins ties: its window only shrinks, and
-          // scanning it early keeps the growing full relation out of
-          // the index entirely.
-          std::size_t weight = 2 * size;
-          if (static_cast<int>(i) == delta_atom) {
-            size -= std::min(size, delta->lo[atom.predicate]);
-            weight = 2 * size - 1;
-          }
-          if (best == n || bound_args > best_bound ||
-              (bound_args == best_bound && weight < best_size)) {
-            best = i;
-            best_bound = bound_args;
-            best_size = weight;
-          }
-        }
-        placed[best] = 1;
-        plan[step].atom = best;
-        for (int v : rule.body[best].variable) {
-          if (v >= 0) bound[v] = 1;
-        }
+      placed[best] = 1;
+      plan[step].atom = best;
+      if (stats_ != nullptr) stats_->est_cost_total += best_est;
+      for (int v : rule.body[best].variable) {
+        if (v >= 0) bound[v] = 1;
       }
-      bound.assign(rule.num_variables, 0);
     }
+    bound.assign(rule.num_variables, 0);
 
     // Column patterns per step. A new variable is live (distinct-mask)
     // if a later step, the head, or another column of the same atom
@@ -468,7 +411,7 @@ class Evaluator {
           js.project = true;
         }
       }
-      if (options_.use_index && (js.key_mask != 0 || js.project)) {
+      if (js.key_mask != 0 || js.project) {
         js.index = &indexes_[atom.predicate].Get(
             db_.RelationOf(atom.predicate), js.key_mask, js.distinct_mask,
             &counters_);
@@ -609,7 +552,7 @@ class Evaluator {
       // needs no cross-shard coordination.
       std::size_t h = HashIntSpan(head.data(), head.size());
       HashCombine(&h, rule.head_predicate);
-      std::vector<int>& buf = ctx->shard_rows[h % ctx->num_shards];
+      std::vector<int>& buf = ctx->shard_rows[h % kNumShards];
       buf.push_back(rule.head_predicate);
       buf.insert(buf.end(), head.begin(), head.end());
       ++ctx->tuples_staged;
@@ -659,23 +602,15 @@ class Evaluator {
     }
   }
 
-  // The join plan for (rule, delta_atom): with cost_based on, the
-  // cached plan while it is fresh (indexes caught up, plans_cached
-  // counted), else a rebuild into the cache slot with the
-  // participating relations' watermarks re-recorded. With cost_based
-  // off — the ablation baseline — every call re-plans into `scratch`,
-  // byte-for-byte the pre-planner behavior. Only called from the
-  // serial planning phase (the serial engine, or pre-fan-out in
-  // RunParallel), so cache mutation and stats updates are single-
-  // threaded, and parallel runs see plans identical to a serial
-  // planner's.
+  // The join plan for (rule, delta_atom): the cached plan while it is
+  // fresh (indexes caught up, plans_cached counted), else a rebuild into
+  // the cache slot with the participating relations' watermarks
+  // re-recorded. Only called from the serial planning phase (the serial
+  // engine, or pre-fan-out in RunParallel), so cache mutation and stats
+  // updates are single-threaded, and parallel runs see plans identical
+  // to a serial planner's.
   const std::vector<JoinStep>& PlanFor(CompiledRule& rule, int delta_atom,
-                                       const DeltaWindow* delta,
-                                       std::vector<JoinStep>* scratch) {
-    if (!options_.cost_based) {
-      PlanJoin(rule, delta_atom, delta, scratch);
-      return *scratch;
-    }
+                                       const DeltaWindow* delta) {
     CachedPlan& cached = rule.plans[static_cast<std::size_t>(delta_atom + 1)];
     if (cached.valid && !PlanStale(cached)) {
       RefreshIndexes(rule, &cached.steps);
@@ -703,8 +638,7 @@ class Evaluator {
     // (the in-match poll in EmitHead covers the long tails).
     Status s = governor_.Poll();
     if (!s.ok()) return s;
-    const std::vector<JoinStep>& plan =
-        PlanFor(rule, delta_atom, delta, &plan_scratch_);
+    const std::vector<JoinStep>& plan = PlanFor(rule, delta_atom, delta);
     serial_ctx_.binding.assign(rule.num_variables, kUnbound);
     if (!MatchBody(rule, plan, 0, delta_atom, delta, &serial_ctx_)) {
       if (!serial_ctx_.abort_status.ok()) return serial_ctx_.abort_status;
@@ -713,26 +647,13 @@ class Evaluator {
     return OkStatus();
   }
 
-  // Per-round bookkeeping shared by every run mode: a round over `group`
+  // Per-round bookkeeping shared by both run modes: a round over `group`
   // also records the rules outside it that an unstratified round would
   // have considered (EvalStats::rounds_saved).
   void CountRound(const std::vector<std::size_t>& group) {
     if (stats_ == nullptr) return;
     ++stats_->iterations;
     stats_->rounds_saved += rules_.size() - group.size();
-  }
-
-  Status RunNaive(const std::vector<std::size_t>& group) {
-    std::size_t before = derived_total_;
-    while (true) {
-      CountRound(group);
-      for (std::size_t r : group) {
-        Status s = EvaluateRule(rules_[r], -1, nullptr);
-        if (!s.ok()) return s;
-      }
-      if (derived_total_ == before) return OkStatus();
-      before = derived_total_;
-    }
   }
 
   Status RunSemiNaive(const std::vector<std::size_t>& group) {
@@ -770,8 +691,8 @@ class Evaluator {
   }
 
   // The staged parallel fixpoint. Each round: (1) build the task list —
-  // one task per rule (full rounds) or per (rule, delta position)
-  // (semi-naive rounds); (2) plan every task serially, which resolves
+  // one task per rule (round 0) or per (rule, delta position) (every
+  // later, semi-naive round); (2) plan every task serially, which resolves
   // and catches up every column index the round will probe; (3) fan the
   // tasks out across the pool — the database is frozen, workers only
   // read, and each task stages derived tuples into its own per-shard
@@ -789,31 +710,26 @@ class Evaluator {
   Status RunParallel(ThreadPool& pool,
                      const std::vector<std::size_t>& group) {
     const std::size_t num_predicates = db_.predicates().size();
-    num_shards_ = options_.num_shards > 0
-                      ? static_cast<std::size_t>(options_.num_shards)
-                      : kDefaultShards;
 
     struct RoundTask {
       std::size_t rule;
       int delta_atom;
     };
     std::vector<RoundTask> tasks;
-    // Per-task plan pointers: with cost_based on, tasks point at their
-    // (rule, delta position) cache slots — distinct per task, since a
-    // round's tasks are distinct (rule, delta) pairs, and stable while
-    // the workers run (no planning happens after fan-out). With it off,
-    // each task plans into its own storage slot.
+    // Per-task plan pointers into the (rule, delta position) cache
+    // slots — distinct per task, since a round's tasks are distinct
+    // (rule, delta) pairs, and stable while the workers run (no planning
+    // happens after fan-out).
     std::vector<const std::vector<JoinStep>*> plans;
-    std::vector<std::vector<JoinStep>> plan_storage;
     std::vector<MatchContext> contexts;
-    std::vector<std::vector<int>> shard_out(num_shards_);
-    std::vector<std::size_t> shard_collisions(num_shards_, 0);
+    std::vector<std::vector<int>> shard_out(kNumShards);
+    std::vector<std::size_t> shard_collisions(kNumShards, 0);
 
     DeltaWindow delta(num_predicates);
-    bool full_round = true;  // round 0, and every round of naive mode
+    bool full_round = true;  // round 0 only
     while (true) {
       tasks.clear();
-      if (full_round || !options_.semi_naive) {
+      if (full_round) {
         for (std::size_t r : group) {
           tasks.push_back({r, -1});
         }
@@ -837,10 +753,9 @@ class Evaluator {
       const DeltaWindow* window = full_round ? nullptr : &delta;
 
       plans.resize(tasks.size());
-      plan_storage.resize(tasks.size());
       for (std::size_t t = 0; t < tasks.size(); ++t) {
         plans[t] = &PlanFor(rules_[tasks[t].rule], tasks[t].delta_atom,
-                            window, &plan_storage[t]);
+                            window);
       }
 
       // Next round's watermarks are this round's pre-merge sizes: the
@@ -901,7 +816,7 @@ class Evaluator {
       // Merge phase 1 (parallel): per-shard dedup. A tuple's shard is a
       // function of the tuple, so no two shards see the same fact and
       // no locks are needed; the frozen relations are probed read-only.
-      pool.ParallelFor(num_shards_, [&](std::size_t s) {
+      pool.ParallelFor(kNumShards, [&](std::size_t s) {
         MergeShard(contexts, tasks.size(), s, &shard_out[s],
                    &shard_collisions[s]);
       });
@@ -909,7 +824,7 @@ class Evaluator {
       // Merge phase 2 (serial): append survivors in (shard, task,
       // derivation) order — deterministic for any thread count.
       std::size_t new_facts = 0;
-      for (std::size_t s = 0; s < num_shards_; ++s) {
+      for (std::size_t s = 0; s < kNumShards; ++s) {
         if (stats_ != nullptr) {
           stats_->merge_collisions += shard_collisions[s];
         }
@@ -923,10 +838,8 @@ class Evaluator {
       derived_total_ += new_facts;
       if (stats_ != nullptr) stats_->facts_derived += new_facts;
       if (new_facts == 0) return OkStatus();
-      if (options_.semi_naive) {
-        delta = std::move(next);
-        full_round = false;
-      }
+      delta = std::move(next);
+      full_round = false;
     }
   }
 
@@ -936,8 +849,7 @@ class Evaluator {
       ctx->undo.resize(max_body_);
     }
     ctx->staging = true;
-    ctx->num_shards = num_shards_;
-    ctx->shard_rows.resize(num_shards_);
+    ctx->shard_rows.resize(kNumShards);
     for (std::vector<int>& rows : ctx->shard_rows) rows.clear();
     ctx->emitted = 0;
     ctx->emit_budget = budget;
@@ -985,8 +897,8 @@ class Evaluator {
   EvalStats* stats_;
   Database db_;
   std::vector<CompiledRule> rules_;
-  // Evaluation-ordered rule groups: SCC strata (use_strata) or one group
-  // of every rule. Empty only for an empty program.
+  // Evaluation-ordered rule groups: the SCC strata. Empty only for an
+  // empty program.
   std::vector<std::vector<std::size_t>> rule_groups_;
   std::vector<int> active_domain_;
   std::unordered_set<int> domain_set_;
@@ -1001,7 +913,6 @@ class Evaluator {
   // contexts instead (RunParallel).
   MatchContext serial_ctx_;
   // Per-rule planning scratch (serial planning only, both modes).
-  std::vector<JoinStep> plan_scratch_;
   std::vector<char> bound_scratch_;
   std::vector<char> placed_scratch_;
   std::vector<char> needed_later_scratch_;
@@ -1010,7 +921,6 @@ class Evaluator {
   // in serial_ctx_.emitted).
   std::size_t emitted_total_ = 0;
   std::size_t derived_total_ = 0;
-  std::size_t num_shards_ = 0;
   // The governed bounds: polls at rule/task/round boundaries and every
   // 1024 emissions (see EvalOptions::limits).
   Governor governor_;

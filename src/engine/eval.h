@@ -1,17 +1,17 @@
-// Bottom-up Datalog evaluation: naive and semi-naive fixpoint computation
-// of Q_Π(D) (paper §2.1). Unsafe rules (head variables not bound by the
-// body, e.g. `dist0(x, x) :- .` from Example 6.2) are evaluated with
-// active-domain semantics: unbound variables range over the active domain
-// of the input database.
+// Bottom-up Datalog evaluation: the semi-naive fixpoint computation of
+// Q_Π(D) (paper §2.1), run per SCC stratum of the dependence graph.
+// Unsafe rules (head variables not bound by the body, e.g.
+// `dist0(x, x) :- .` from Example 6.2) are evaluated with active-domain
+// semantics: unbound variables range over the active domain of the input
+// database plus the program's constants.
 //
 // The engine works entirely over dense integer ids (constants and
 // predicates are interned), probes hash column indexes instead of
-// scanning relations (src/engine/index.h), and reorders each rule body
-// at runtime — by default with a cost model over the indexes' bucket
-// statistics, with compiled plans cached per (rule, delta position);
-// the greedy (bound variables, relation size) planner survives as the
-// ablation baseline. The index, reordering, and cost-based legs can be
-// switched off independently for ablation benchmarks.
+// scanning relations (src/engine/index.h), and orders each rule body at
+// runtime with a cost model over the indexes' bucket statistics, caching
+// the compiled plan per (rule, delta position). The engine tests check
+// every fixpoint against the AST-level naive evaluator
+// corpus::NaiveFixpoint (src/corpus/naive.h).
 #ifndef DATALOG_EQ_SRC_ENGINE_EVAL_H_
 #define DATALOG_EQ_SRC_ENGINE_EVAL_H_
 
@@ -23,25 +23,6 @@
 namespace datalog {
 
 struct EvalOptions {
-  /// Use semi-naive (delta-driven) iteration instead of naive re-derivation.
-  bool semi_naive = true;
-  /// Probe lazily-built hash column indexes instead of scanning every
-  /// tuple of every body relation (ablation switch).
-  bool use_index = true;
-  /// Greedily reorder body atoms per evaluation by (bound variables,
-  /// relation size) instead of using textual order (ablation switch).
-  bool reorder_joins = true;
-  /// Cost-based planning: order body atoms by estimated candidate
-  /// cardinality from ColumnIndex bucket statistics (falling back to
-  /// relation size while an index is cold) instead of the greedy
-  /// (bound-count, size) rule, and cache the compiled plan per
-  /// (rule, delta position), keyed on the size watermarks of the
-  /// participating relations, so steady-state rounds stamp cached plans
-  /// instead of re-planning. Off reproduces the greedy planner verbatim
-  /// — re-planned on every rule evaluation, no cache (ablation switch;
-  /// the fixpoint is identical either way, as a tuple set). Ordering
-  /// only applies when reorder_joins is on; caching applies regardless.
-  bool cost_based = true;
   /// Worker threads for the fixpoint. 1 (default) is the serial engine —
   /// bit-for-bit the pre-parallel code path, with chaotic in-round
   /// insertion. 0 resolves to the hardware concurrency. Any value > 1
@@ -49,24 +30,10 @@ struct EvalOptions {
   /// pool against the frozen pre-round database, derived tuples are
   /// staged into per-task shard buffers, and a sharded merge dedups and
   /// appends them. The fixpoint (every relation, as a tuple set) is
-  /// identical to the serial engine's for every other option
-  /// combination, and identical run-to-run for any fixed thread count
-  /// (see docs/engine.md, "Parallel evaluation").
+  /// identical to the serial engine's, and identical run-to-run for any
+  /// fixed thread count (see docs/engine.md, "Parallel evaluation").
+  /// Each SCC stratum runs its own staged rounds on the shared pool.
   int num_threads = 1;
-  /// Staging shards for parallel rounds; 0 picks the default (a fixed
-  /// count, so parallel results do not depend on the thread count).
-  /// Ignored when num_threads resolves to 1.
-  int num_shards = 0;
-  /// Run the fixpoint per SCC-stratum of the dependence graph
-  /// (src/analysis/stratify.h), dependencies first: each lower stratum is
-  /// computed to fixpoint once, and only the current component's rules
-  /// iterate. The least fixpoint — every relation, as a tuple set — is
-  /// identical with this off (ablation switch); row order within a
-  /// relation may differ. Composes with naive/semi-naive and with the
-  /// parallel staged rounds (each stratum runs its own staged rounds on
-  /// the shared pool). EvalStats::strata counts the rule groups executed
-  /// and EvalStats::rounds_saved the avoided rule-round evaluations.
-  bool use_strata = true;
   /// The governed bounds (src/util/governor.h): deadline, CancelToken,
   /// fault injection, and the fact cap (`limits.max_facts`, resolving 0
   /// to 50M — the pre-governor `max_derived_facts` default). The cap
@@ -87,7 +54,7 @@ struct EvalStats {
   /// Number of distinct IDB facts derived.
   std::size_t facts_derived = 0;
   /// Number of candidate tuples examined while matching rule bodies (a
-  /// work proxy; with indexes on, only index-bucket candidates count).
+  /// work proxy; only index-bucket candidates count for indexed steps).
   std::size_t join_probes = 0;
   /// Number of hash lookups into column indexes.
   std::size_t index_probes = 0;
@@ -106,24 +73,22 @@ struct EvalStats {
   /// it.
   std::size_t merge_collisions = 0;
   /// Rule groups executed by the fixpoint: the number of (nonempty) SCC
-  /// strata with use_strata on, else 1 per evaluation.
+  /// strata (src/analysis/stratify.h), evaluated dependencies first.
   int strata = 0;
   /// Rule-round evaluations avoided by stratification: for every round,
   /// the rules outside the current stratum that an unstratified round
-  /// would have considered. 0 when use_strata is off or the program is a
-  /// single stratum.
+  /// would have considered. 0 when the program is a single stratum.
   std::size_t rounds_saved = 0;
   /// Rule evaluations that stamped a cached join plan instead of
-  /// re-planning (cost_based only).
+  /// re-planning.
   std::size_t plans_cached = 0;
   /// Join plans built: first-time plans plus rebuilds after a
-  /// participating relation outgrew its recorded watermark (cost_based
-  /// only). Flat per round once the fixpoint's relation sizes settle.
+  /// participating relation outgrew its recorded watermark. Flat per
+  /// round once the fixpoint's relation sizes settle.
   std::size_t plans_rebuilt = 0;
   /// Sum of the cost model's estimated candidate cardinality over every
-  /// placed plan step (cost_based with reorder_joins only; cached
-  /// stamps do not re-count). A cross-check that the model's estimates
-  /// track join_probes in shape.
+  /// placed plan step (cached stamps do not re-count). A cross-check
+  /// that the model's estimates track join_probes in shape.
   std::size_t est_cost_total = 0;
 
   /// Folds `other`'s counters into this one (drivers that evaluate many

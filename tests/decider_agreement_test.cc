@@ -418,13 +418,16 @@ TEST(DeciderAgreementTest, CheckerChargesInterningToFirstDecideOnly) {
 // Rebuilds A^ptrees_{Q,Π} from ForEachInstanceOver and Term-level
 // identity (Rule/Atom renderings), the way Proposition 5.9 states it, and
 // checks the interned construction symbol for symbol, state for state and
-// transition for transition.
-void ExpectPtreesMatchesEnumeration(const Program& program,
+// transition for transition. The builder drops the rules not
+// backward-reachable from the goal, so the enumeration runs over the
+// direct backward closure of `full_program`.
+void ExpectPtreesMatchesEnumeration(const Program& full_program,
                                     const std::string& goal,
                                     const std::string& label) {
-  StatusOr<PtreesAutomaton> automaton = BuildPtreesAutomaton(
-      program, goal, ExecutionLimits(), /*prune_unreachable=*/false);
+  StatusOr<PtreesAutomaton> automaton =
+      BuildPtreesAutomaton(full_program, goal);
   ASSERT_TRUE(automaton.ok()) << label << ": " << automaton.status();
+  const Program program = BackwardClosure(full_program, goal);
   const ProgramAlphabet& alphabet = automaton->alphabet;
   const std::vector<std::string> proof_vars = ProofVariables(program);
   EXPECT_EQ(alphabet.proof_vars, proof_vars) << label;
@@ -517,6 +520,15 @@ TEST(PtreesAgreementTest, AlphabetAndAutomatonMatchDirectEnumeration) {
     odd(X) :- succ(Y, X), even(Y).
   )"),
                                  "odd", "mutual");
+  // Goal-directed pruning: the unreachable rules (one reads the goal,
+  // one carries a constant) label nothing.
+  ExpectPtreesMatchesEnumeration(MustParseProgram(R"(
+    p(X, Y) :- e(X, Y).
+    junk(X) :- p(X, X), junk(X).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+    junk2(X) :- g(X, a).
+  )"),
+                                 "p", "junk");
 }
 
 // --- the CQ homomorphism search against the naive one -----------------

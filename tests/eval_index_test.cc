@@ -1,13 +1,14 @@
 // Differential testing of the indexed semi-naive evaluation engine: on
-// seeded random EDBs over the paper's example program families, every
-// engine configuration — naive or semi-naive iteration, with and without
-// hash column indexes and runtime join reordering — must produce the
-// identical fixpoint (same relations, same tuples). Also pins down the
-// quantitative index win: candidate-tuple probes drop by an order of
-// magnitude on the transitive-closure workload.
+// seeded random EDBs over the paper's example program families, the
+// engine's fixpoint — serial and staged parallel, at every thread count —
+// must equal corpus::NaiveFixpoint's, the AST-level textbook fixpoint
+// (tests/naive_oracle.h), as a set of facts. Also pins down the
+// quantitative index and planner wins against candidate-probe counts
+// recorded from the retired scan engine and greedy planner.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -16,18 +17,11 @@
 #include "src/engine/random_db.h"
 #include "src/generators/examples.h"
 #include "src/util/strings.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace datalog {
 namespace {
-
-EvalOptions Configure(bool semi_naive, bool use_index, bool reorder_joins) {
-  EvalOptions options;
-  options.semi_naive = semi_naive;
-  options.use_index = use_index;
-  options.reorder_joins = reorder_joins;
-  return options;
-}
 
 struct ExampleProgram {
   const char* name;
@@ -49,144 +43,91 @@ std::vector<ExampleProgram> ExamplePrograms() {
   return programs;
 }
 
-class EvalIndexPropertyTest : public ::testing::TestWithParam<int> {};
-
-// Naive, semi-naive, and indexed/reordered semi-naive evaluation agree
-// on the full fixpoint database (compared via the deterministic sorted
-// rendering, which is independent of predicate-id and row order).
-TEST_P(EvalIndexPropertyTest, AllEngineConfigurationsAgreeOnTheFixpoint) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
+// Evaluates every example program over a random EDB drawn with
+// `db_seed`, once per thread count, and checks each fixpoint against
+// the naive oracle. facts_derived must count exactly the facts the
+// oracle adds to the EDB.
+void ExpectEngineMatchesNaiveFixpoint(std::uint64_t db_seed,
+                                      const std::vector<int>& thread_arms,
+                                      int domain_size = 4,
+                                      int tuples_per_relation = 6) {
   RandomDbOptions db_options;
-  db_options.seed = seed + 1;
-  db_options.domain_size = 4;
-  db_options.tuples_per_relation = 6;
-  const struct {
-    bool semi_naive;
-    bool use_index;
-    bool reorder_joins;
-  } configs[] = {
-      {false, false, false},  // naive scan engine
-      {false, true, true},    // naive, indexed + reordered
-      {true, false, false},   // semi-naive scan engine (pre-index engine)
-      {true, true, false},    // indexes without reordering
-      {true, false, true},    // reordering without indexes
-      {true, true, true},     // the full indexed engine (default)
-  };
+  db_options.seed = db_seed;
+  db_options.domain_size = domain_size;
+  db_options.tuples_per_relation = tuples_per_relation;
   for (ExampleProgram& example : ExamplePrograms()) {
     Database edb = RandomDatabaseFor(example.program, db_options);
-    std::string reference;
-    for (const auto& config : configs) {
-      EvalOptions options = Configure(config.semi_naive, config.use_index,
-                                      config.reorder_joins);
+    const std::set<Atom> want = NaiveOracleFixpoint(example.program, edb);
+    for (int num_threads : thread_arms) {
+      EvalOptions options;
+      options.num_threads = num_threads;
+      EvalStats stats;
       StatusOr<Database> result =
-          EvaluateProgram(example.program, edb, options);
-      ASSERT_TRUE(result.ok())
-          << example.name << ": " << result.status();
-      std::string rendered = result->ToString();
-      if (reference.empty()) {
-        reference = rendered;
-      } else {
-        EXPECT_EQ(rendered, reference)
-            << example.name << " seed " << seed << " diverges for config"
-            << " semi_naive=" << config.semi_naive
-            << " use_index=" << config.use_index
-            << " reorder_joins=" << config.reorder_joins;
-      }
+          EvaluateProgram(example.program, edb, options, &stats);
+      ASSERT_TRUE(result.ok()) << example.name << ": " << result.status();
+      EXPECT_TRUE(SameFactSet(*result, want))
+          << example.name << " db seed " << db_seed
+          << " num_threads=" << num_threads;
+      EXPECT_EQ(stats.facts_derived, want.size() - edb.TotalFacts())
+          << example.name << " db seed " << db_seed
+          << " num_threads=" << num_threads;
     }
   }
+}
+
+class EvalIndexPropertyTest : public ::testing::TestWithParam<int> {};
+
+// The serial engine (indexed, cost-planned, stratified semi-naive).
+TEST_P(EvalIndexPropertyTest, SerialEngineMatchesNaiveFixpoint) {
+  ExpectEngineMatchesNaiveFixpoint(static_cast<std::uint64_t>(GetParam()) + 1,
+                                   {1});
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomEdbs, EvalIndexPropertyTest,
                          ::testing::Range(0, 12));
 
+// Sparse EDBs over a wider domain give long derivation chains, so the
+// fixpoint needs many delta rounds even under the serial engine's
+// chaotic in-round insertion (the dense 4-constant EDBs above saturate
+// in two or three): a dropped or misplaced delta window shows here.
+TEST(EvalIndexTest, SparseWideEdbsMatchNaiveFixpoint) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ExpectEngineMatchesNaiveFixpoint(seed, {1, 2}, /*domain_size=*/24,
+                                     /*tuples_per_relation=*/24);
+  }
+}
+
+// The retired scan engine (no indexes, textual join order) examined
+// 751,264 candidate tuples on this workload; the indexed engine touches
+// only candidate rows from matching index buckets and must stay an order
+// of magnitude below that.
 TEST(EvalIndexTest, IndexedJoinsCutProbesTenfoldOnTransitiveClosure) {
+  constexpr std::size_t kScanEngineJoinProbes = 751'264;
   Program tc = TransitiveClosureProgram("e", "e");
   Database db;
   for (int i = 0; i < 96; ++i) {
     db.AddFact("e", {StrCat("n", i), StrCat("n", i + 1)});
   }
-  EvalStats indexed_stats;
-  EvalStats scan_stats;
-  ASSERT_TRUE(
-      EvaluateGoal(tc, "p", db, Configure(true, true, true), &indexed_stats)
-          .ok());
-  ASSERT_TRUE(
-      EvaluateGoal(tc, "p", db, Configure(true, false, false), &scan_stats)
-          .ok());
-  EXPECT_EQ(indexed_stats.facts_derived, scan_stats.facts_derived);
-  // The indexed engine touches only candidate rows from matching index
-  // buckets; the scan engine examines every tuple at every level.
-  EXPECT_GE(scan_stats.join_probes, 10 * indexed_stats.join_probes);
-  EXPECT_GT(indexed_stats.index_probes, 0u);
-  EXPECT_GT(indexed_stats.index_builds, 0u);
-  EXPECT_GT(indexed_stats.tuples_indexed, 0u);
-  EXPECT_EQ(scan_stats.index_probes, 0u);
-  EXPECT_EQ(scan_stats.tuples_indexed, 0u);
+  EvalStats stats;
+  StatusOr<Database> result = EvaluateProgram(tc, db, EvalOptions(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(SameFactSet(*result, NaiveOracleFixpoint(tc, db)));
+  EXPECT_EQ(stats.facts_derived, 96u * 97u / 2u);
+  EXPECT_LE(10 * stats.join_probes, kScanEngineJoinProbes);
+  EXPECT_GT(stats.index_probes, 0u);
+  EXPECT_GT(stats.index_builds, 0u);
+  EXPECT_GT(stats.tuples_indexed, 0u);
 }
 
-// The parallel determinism suite: for every engine configuration
-// (naive/semi-naive × index × reorder) and every thread count, staged
-// parallel rounds must compute the identical fixpoint — the same
-// relations with the same tuples (compared via the sorted rendering)
-// and the same count of derived facts — as the serial engine. Shard
-// counts are swept too, including the degenerate single shard.
+// The parallel determinism suite: at every thread count, staged parallel
+// rounds (64 staging shards) must compute the naive oracle's fixpoint
+// and count the same derived facts.
 class ParallelEvalPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ParallelEvalPropertyTest, ThreadCountsAgreeOnTheFixpoint) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
-  RandomDbOptions db_options;
-  db_options.seed = seed + 101;
-  db_options.domain_size = 4;
-  db_options.tuples_per_relation = 6;
-  const struct {
-    bool semi_naive;
-    bool use_index;
-    bool reorder_joins;
-  } configs[] = {
-      {false, true, true},   // naive, indexed + reordered
-      {true, false, false},  // semi-naive scan engine
-      {true, true, false},   // indexes without reordering
-      {true, false, true},   // reordering without indexes
-      {true, true, true},    // the full indexed engine (default)
-  };
-  const struct {
-    int num_threads;
-    int num_shards;
-  } arms[] = {
-      {2, 0}, {4, 0}, {0, 0},  // 0 = hardware concurrency
-      {2, 1}, {4, 7},          // degenerate and odd shard counts
-  };
-  for (ExampleProgram& example : ExamplePrograms()) {
-    Database edb = RandomDatabaseFor(example.program, db_options);
-    for (const auto& config : configs) {
-      EvalOptions serial = Configure(config.semi_naive, config.use_index,
-                                     config.reorder_joins);
-      EvalStats serial_stats;
-      StatusOr<Database> reference =
-          EvaluateProgram(example.program, edb, serial, &serial_stats);
-      ASSERT_TRUE(reference.ok()) << example.name << ": "
-                                  << reference.status();
-      const std::string rendered = reference->ToString();
-      for (const auto& arm : arms) {
-        EvalOptions parallel = serial;
-        parallel.num_threads = arm.num_threads;
-        parallel.num_shards = arm.num_shards;
-        EvalStats parallel_stats;
-        StatusOr<Database> result =
-            EvaluateProgram(example.program, edb, parallel, &parallel_stats);
-        ASSERT_TRUE(result.ok()) << example.name << ": " << result.status();
-        EXPECT_EQ(result->ToString(), rendered)
-            << example.name << " seed " << seed << " diverges at"
-            << " num_threads=" << arm.num_threads
-            << " num_shards=" << arm.num_shards
-            << " semi_naive=" << config.semi_naive
-            << " use_index=" << config.use_index
-            << " reorder_joins=" << config.reorder_joins;
-        EXPECT_EQ(parallel_stats.facts_derived, serial_stats.facts_derived)
-            << example.name << " seed " << seed;
-      }
-    }
-  }
+TEST_P(ParallelEvalPropertyTest, ThreadCountsMatchNaiveFixpoint) {
+  ExpectEngineMatchesNaiveFixpoint(
+      static_cast<std::uint64_t>(GetParam()) + 101,
+      {2, 4, 0});  // 0 = hardware concurrency
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomEdbs, ParallelEvalPropertyTest,
@@ -238,12 +179,13 @@ TEST(ParallelEvalTest, ParallelStatsCountRoundsStagingAndCollisions) {
   EXPECT_GT(par_stats.merge_collisions, 0u);
   EXPECT_EQ(par_stats.tuples_staged - par_stats.merge_collisions,
             par_stats.facts_derived);
+  EXPECT_EQ(par_stats.facts_derived, 16u * 17u / 2u);
   EvalStats serial_stats;
   ASSERT_TRUE(EvaluateProgram(tc, db, EvalOptions(), &serial_stats).ok());
   EXPECT_EQ(serial_stats.rounds_parallel, 0);
   EXPECT_EQ(serial_stats.tuples_staged, 0u);
   EXPECT_EQ(serial_stats.merge_collisions, 0u);
-  EXPECT_EQ(serial_stats.facts_derived, par_stats.facts_derived);
+  EXPECT_EQ(serial_stats.facts_derived, 16u * 17u / 2u);
 }
 
 TEST(ParallelEvalTest, DerivedFactLimitStillAborts) {
@@ -320,8 +262,10 @@ TEST(BucketArenaTest, SkipBelowOnAdvancedIteratorStaysMonotone) {
 // The projection-pushing leg: when a join variable is dead downstream
 // (buys1's recursive rule joins trendy(X) with buys(Z, Y) where Z is
 // never used again), candidate rows collapse to representatives and the
-// probe count stops tracking the full cartesian product.
+// probe count stops tracking the full cartesian product. The retired
+// scan engine examined 9,484 candidate tuples here.
 TEST(EvalIndexTest, ProjectionCollapsesDeadJoinColumns) {
+  constexpr std::size_t kScanEngineJoinProbes = 9'484;
   Program buys = Buys1Program();
   Database db;
   for (int p = 0; p < 40; ++p) {
@@ -332,71 +276,23 @@ TEST(EvalIndexTest, ProjectionCollapsesDeadJoinColumns) {
       }
     }
   }
-  EvalStats indexed_stats;
-  EvalStats scan_stats;
-  StatusOr<Relation> indexed =
-      EvaluateGoal(buys, "buys", db, Configure(true, true, true),
-                   &indexed_stats);
-  StatusOr<Relation> scanned =
-      EvaluateGoal(buys, "buys", db, Configure(true, false, false),
-                   &scan_stats);
-  ASSERT_TRUE(indexed.ok());
-  ASSERT_TRUE(scanned.ok());
-  EXPECT_EQ(*indexed, *scanned);
-  EXPECT_GE(scan_stats.join_probes, 10 * indexed_stats.join_probes);
+  EvalStats stats;
+  StatusOr<Database> result =
+      EvaluateProgram(buys, db, EvalOptions(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(SameFactSet(*result, NaiveOracleFixpoint(buys, db)));
+  EXPECT_LE(10 * stats.join_probes, kScanEngineJoinProbes);
 }
 
-// The cost-based planner's differential cube: {cost_based on/off} ×
-// {use_index} × {reorder_joins} × {use_strata} × threads {1, 2, 0} must
-// all compute the identical fixpoint on random EDBs over every example
-// program. This is the acceptance gate for the planner and the plan
-// cache: byte-identical fact sets with cost_based on and off, at every
-// thread count.
+// Every thread count, on random EDBs over every example program, must
+// compute the naive oracle's fixpoint: the acceptance gate for the
+// cost-based planner and the plan cache, serial and staged.
 class CostBasedPropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CostBasedPropertyTest, CostBasedConfigCubeAgreesOnTheFixpoint) {
-  const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
-  RandomDbOptions db_options;
-  db_options.seed = seed + 501;
-  db_options.domain_size = 4;
-  db_options.tuples_per_relation = 6;
-  const int thread_arms[] = {1, 2, 0};  // 0 = hardware concurrency
-  for (ExampleProgram& example : ExamplePrograms()) {
-    Database edb = RandomDatabaseFor(example.program, db_options);
-    std::string reference;
-    for (bool cost_based : {false, true}) {
-      for (bool use_index : {false, true}) {
-        for (bool reorder_joins : {false, true}) {
-          for (bool use_strata : {false, true}) {
-            for (int num_threads : thread_arms) {
-              EvalOptions options;
-              options.cost_based = cost_based;
-              options.use_index = use_index;
-              options.reorder_joins = reorder_joins;
-              options.use_strata = use_strata;
-              options.num_threads = num_threads;
-              StatusOr<Database> result =
-                  EvaluateProgram(example.program, edb, options);
-              ASSERT_TRUE(result.ok())
-                  << example.name << ": " << result.status();
-              std::string rendered = result->ToString();
-              if (reference.empty()) {
-                reference = rendered;
-              } else {
-                EXPECT_EQ(rendered, reference)
-                    << example.name << " seed " << seed
-                    << " diverges for config cost_based=" << cost_based
-                    << " use_index=" << use_index
-                    << " reorder_joins=" << reorder_joins
-                    << " use_strata=" << use_strata
-                    << " num_threads=" << num_threads;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
+TEST_P(CostBasedPropertyTest, ThreadArmsMatchNaiveFixpoint) {
+  ExpectEngineMatchesNaiveFixpoint(
+      static_cast<std::uint64_t>(GetParam()) + 501,
+      {1, 2, 0});  // 0 = hardware concurrency
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomEdbs, CostBasedPropertyTest,
@@ -404,13 +300,15 @@ INSTANTIATE_TEST_SUITE_P(RandomEdbs, CostBasedPropertyTest,
 
 // Skew regression: a hub join where greedy ordering is a bad plan.
 // reach(Z) :- reach(X), hub(X, Y), sel(Y, Z) with hub fan-out 64 per
-// node and |sel| tiny. After the delta atom binds X, greedy's
-// most-bound-args rule probes the fat hub bucket next (64 candidates,
-// each spawning a sel probe); the cost model sees sel's full scan is
-// cheaper than hub's average bucket, scans sel first, and probes hub
-// with both columns bound (singleton buckets). Same fixpoint, and the
-// cost-based plan must never examine more candidates than greedy's.
+// node and |sel| tiny. After the delta atom binds X, the retired greedy
+// planner's most-bound-args rule probed the fat hub bucket next (64
+// candidates, each spawning a sel probe) and examined 810 candidate
+// tuples in all. The cost model sees sel's full scan is cheaper than
+// hub's average bucket, scans sel first, and probes hub with both
+// columns bound (singleton buckets). The gap is structural (hub fan-out
+// over |sel|), not a rounding artifact: demand at most half of greedy's.
 TEST(EvalIndexTest, CostBasedPlanProbesAtMostGreedyOnHubSkew) {
+  constexpr std::size_t kGreedyPlannerJoinProbes = 810;
   Program prog = MustParseProgram(R"(
     reach(X) :- start(X).
     reach(Z) :- reach(X), hub(X, Y), sel(Y, Z).
@@ -427,32 +325,18 @@ TEST(EvalIndexTest, CostBasedPlanProbesAtMostGreedyOnHubSkew) {
   for (int i = 0; i < kChain; ++i) {
     db.AddFact("sel", {StrCat("b", i), StrCat("a", i + 1)});
   }
-  EvalOptions cost = Configure(true, true, true);
-  cost.cost_based = true;
-  EvalOptions greedy = cost;
-  greedy.cost_based = false;
-  EvalStats cost_stats;
-  EvalStats greedy_stats;
-  StatusOr<Relation> cost_reach =
-      EvaluateGoal(prog, "reach", db, cost, &cost_stats);
-  StatusOr<Relation> greedy_reach =
-      EvaluateGoal(prog, "reach", db, greedy, &greedy_stats);
-  ASSERT_TRUE(cost_reach.ok());
-  ASSERT_TRUE(greedy_reach.ok());
-  EXPECT_EQ(*cost_reach, *greedy_reach);
-  EXPECT_EQ(cost_stats.facts_derived, greedy_stats.facts_derived);
-  EXPECT_LE(cost_stats.join_probes, greedy_stats.join_probes);
-  // The gap is structural (hub fan-out over |sel|), not a rounding
-  // artifact: demand a real multiple.
-  EXPECT_GE(greedy_stats.join_probes, 2 * cost_stats.join_probes);
+  EvalStats stats;
+  StatusOr<Database> result = EvaluateProgram(prog, db, EvalOptions(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(SameFactSet(*result, NaiveOracleFixpoint(prog, db)));
+  EXPECT_EQ(stats.facts_derived, static_cast<std::size_t>(kChain + 1));
+  EXPECT_LE(2 * stats.join_probes, kGreedyPlannerJoinProbes);
   // The planner ran: plans were built and costed. (The serial engine's
   // chaotic rounds converge in so few rounds here that every request is
   // a first build — cache-hit behavior is covered by eval_plan_test's
   // staged-round steady-state case.)
-  EXPECT_GT(cost_stats.plans_rebuilt, 0u);
-  EXPECT_GT(cost_stats.est_cost_total, 0u);
-  EXPECT_EQ(greedy_stats.plans_cached, 0u);
-  EXPECT_EQ(greedy_stats.plans_rebuilt, 0u);
+  EXPECT_GT(stats.plans_rebuilt, 0u);
+  EXPECT_GT(stats.est_cost_total, 0u);
 }
 
 }  // namespace

@@ -1,51 +1,41 @@
-// Differential tests for the static-analysis ablation switches: on fixed
-// program families crossed with seeded random databases, SCC-stratified
-// evaluation (EvalOptions::use_strata) must produce the same least
-// fixpoint — every relation, as a tuple set — as the unstratified engine,
-// across naive/semi-naive and serial/parallel arms; and goal-directed
-// rule pruning (ContainmentOptions / CanonicalDbOptions /
-// LinearContainmentOptions / BuildPtreesAutomaton `prune_unreachable`)
-// must leave every verdict and counterexample witness byte-identical
-// while shrinking the alphabets and per-round rule set. Also pins the
-// EvalStats strata accounting and the PruneForEvaluation active-domain
-// guard end to end.
+// Tests for the static-analysis layers the engine and deciders always
+// run. SCC-stratified evaluation, serial and staged parallel, must
+// compute corpus::NaiveFixpoint's fixpoint (tests/naive_oracle.h) on
+// fixed program families crossed with seeded random databases, with the
+// EvalStats strata accounting pinned. Goal-directed rule pruning (the
+// decider, the canonical-database direction, the linear arm and the
+// ptrees builder) must give every verdict and counterexample witness of
+// a program with junk rules exactly as the same call gives them on a
+// hand-pruned copy; the copy is itself checked against a direct
+// backward closure over the rules, and the alphabets against a direct
+// unpruned BuildProgramAlphabet. Also pins the PruneForEvaluation
+// active-domain guard end to end.
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "src/analysis/reachability.h"
 #include "src/analysis/stratify.h"
+#include "src/ast/analysis.h"
 #include "src/containment/decider.h"
 #include "src/containment/linear.h"
 #include "src/containment/ptrees_automaton.h"
+#include "src/containment/theta_automaton.h"
 #include "src/containment/ucq_in_datalog.h"
 #include "src/engine/eval.h"
 #include "src/engine/random_db.h"
 #include "src/generators/examples.h"
 #include "src/util/strings.h"
+#include "tests/naive_oracle.h"
 #include "tests/test_util.h"
 
 namespace datalog {
 namespace {
 
-// --- stratified evaluation: same fixpoint on every arm -----------------
-
-// Both databases come from evaluating the same program over the same EDB,
-// so dictionaries and encodings agree; only row order may differ, which
-// Relation::operator== (set comparison) absorbs.
-void ExpectSameFixpoint(const Database& got, const Database& want,
-                        const std::string& label) {
-  ASSERT_EQ(got.predicates().size(), want.predicates().size()) << label;
-  for (PredicateId id = 0;
-       id < static_cast<PredicateId>(want.predicates().size()); ++id) {
-    const std::string& name = want.predicates().NameOf(id);
-    PredicateId got_id = got.predicates().Lookup(name);
-    ASSERT_NE(got_id, kNoPredicate) << label << " missing " << name;
-    EXPECT_TRUE(got.RelationOf(got_id) == want.RelationOf(id))
-        << label << " differs on " << name;
-  }
-}
+// --- stratified evaluation: the naive oracle's fixpoint ----------------
 
 struct StrataCase {
   std::string name;
@@ -77,7 +67,7 @@ std::vector<StrataCase> StrataCases() {
   return cases;
 }
 
-TEST(StratifiedEvalTest, DifferentialAgainstUnstratifiedArms) {
+TEST(StratifiedEvalTest, StratifiedArmsMatchNaiveFixpoint) {
   for (const StrataCase& c : StrataCases()) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
       RandomDbOptions db_options;
@@ -85,46 +75,29 @@ TEST(StratifiedEvalTest, DifferentialAgainstUnstratifiedArms) {
       db_options.tuples_per_relation = 6;
       db_options.seed = seed;
       Database edb = RandomDatabaseFor(c.program, db_options);
-
-      EvalOptions reference_options;
-      reference_options.use_strata = false;
-      StatusOr<Database> reference =
-          EvaluateProgram(c.program, edb, reference_options);
-      ASSERT_TRUE(reference.ok()) << c.name << " " << reference.status();
+      const std::set<Atom> want = NaiveOracleFixpoint(c.program, edb);
 
       struct Arm {
         const char* name;
-        bool semi_naive;
-        bool use_strata;
         int num_threads;
       };
-      const Arm arms[] = {
-          {"semi/strata/serial", true, true, 1},
-          {"semi/strata/pool", true, true, 3},
-          {"semi/flat/pool", true, false, 3},
-          {"naive/strata/serial", false, true, 1},
-          {"naive/flat/serial", false, false, 1},
-      };
+      const Arm arms[] = {{"serial", 1}, {"pool", 3}};
       for (const Arm& arm : arms) {
         EvalOptions options;
-        options.semi_naive = arm.semi_naive;
-        options.use_strata = arm.use_strata;
         options.num_threads = arm.num_threads;
         EvalStats stats;
         StatusOr<Database> got =
             EvaluateProgram(c.program, edb, options, &stats);
         ASSERT_TRUE(got.ok()) << c.name << " " << arm.name << " "
                               << got.status();
-        ExpectSameFixpoint(
-            *got, *reference,
-            StrCat(c.name, " seed=", seed, " arm=", arm.name));
-        if (arm.use_strata) {
-          EXPECT_EQ(stats.strata, c.expected_strata)
-              << c.name << " " << arm.name;
-        } else {
-          EXPECT_EQ(stats.strata, 1) << c.name << " " << arm.name;
-          EXPECT_EQ(stats.rounds_saved, 0u) << c.name << " " << arm.name;
-        }
+        EXPECT_TRUE(SameFactSet(*got, want))
+            << c.name << " seed=" << seed << " arm=" << arm.name;
+        EXPECT_EQ(stats.strata, c.expected_strata)
+            << c.name << " " << arm.name;
+        // Every round of a multi-stratum program skips the other strata's
+        // rules; a single stratum skips nothing.
+        EXPECT_EQ(stats.rounds_saved > 0, c.expected_strata > 1)
+            << c.name << " " << arm.name;
         if (arm.num_threads > 1) {
           // Every round of every stratum runs as a staged parallel round.
           EXPECT_EQ(stats.rounds_parallel, stats.iterations)
@@ -141,7 +114,7 @@ TEST(StratifiedEvalTest, MultiStratumProgramSavesRounds) {
   edb.AddFact("e", {"b", "c"});
   edb.AddFact("e", {"c", "a"});
   EvalStats stats;
-  EvalOptions options;  // defaults: semi-naive, strata on
+  EvalOptions options;
   StatusOr<Database> result =
       EvaluateProgram(DistProgram(3), edb, options, &stats);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -151,25 +124,25 @@ TEST(StratifiedEvalTest, MultiStratumProgramSavesRounds) {
   EXPECT_GT(stats.rounds_saved, 0u);
 }
 
+// A single-SCC program runs as one group: the same rounds and probes as
+// the retired unstratified (flat) fixpoint, which took 3 rounds and 7
+// candidate probes here.
 TEST(StratifiedEvalTest, SingleStratumDegeneratesToFlatFixpoint) {
   Database edb;
   edb.AddFact("e", {"a", "b"});
   edb.AddFact("e", {"b", "c"});
   Program tc = TransitiveClosureProgram("e", "e");
-  EvalStats with_strata;
-  EvalStats without;
-  EvalOptions on;
-  EvalOptions off;
-  off.use_strata = false;
-  ASSERT_TRUE(EvaluateProgram(tc, edb, on, &with_strata).ok());
-  ASSERT_TRUE(EvaluateProgram(tc, edb, off, &without).ok());
-  EXPECT_EQ(with_strata.strata, 1);
-  EXPECT_EQ(with_strata.rounds_saved, 0u);
-  EXPECT_EQ(with_strata.iterations, without.iterations);
-  EXPECT_EQ(with_strata.join_probes, without.join_probes);
+  EvalStats stats;
+  StatusOr<Database> result = EvaluateProgram(tc, edb, EvalOptions(), &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(SameFactSet(*result, NaiveOracleFixpoint(tc, edb)));
+  EXPECT_EQ(stats.strata, 1);
+  EXPECT_EQ(stats.rounds_saved, 0u);
+  EXPECT_EQ(stats.iterations, 3);
+  EXPECT_EQ(stats.join_probes, 7u);
 }
 
-// --- decider: goal-directed rule pruning -------------------------------
+// --- goal-directed rule pruning: the reference programs ----------------
 
 // TC plus two unreachable rules, interleaved with the real ones: a
 // self-recursive island that *reads* the goal predicate (reachability is
@@ -184,20 +157,31 @@ Program TcWithJunk() {
   )");
 }
 
-void ExpectSameDecision(const ContainmentDecision& got,
-                        const ContainmentDecision& want,
-                        const std::string& label) {
-  EXPECT_EQ(got.contained, want.contained) << label;
-  ASSERT_EQ(got.counterexample.has_value(), want.counterexample.has_value())
-      << label;
-  if (got.counterexample.has_value()) {
-    EXPECT_EQ(got.counterexample->ToString(),
-              want.counterexample->ToString())
-        << label;
+// TcWithJunk with its junk rules deleted by hand.
+Program TcHandPruned() {
+  return MustParseProgram(R"(
+    p(X, Y) :- e(X, Y).
+    p(X, Y) :- e(X, Z), p(Z, Y).
+  )");
+}
+
+TEST(PruneReferenceTest, HandPrunedCopiesAreTheBackwardClosure) {
+  EXPECT_EQ(BackwardClosure(TcWithJunk(), "p"), TcHandPruned());
+  EXPECT_EQ(BackwardClosure(TcHandPruned(), "p"), TcHandPruned());
+}
+
+void ExpectSameTree(const std::optional<ExpansionTree>& got,
+                    const std::optional<ExpansionTree>& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.has_value(), want.has_value()) << label;
+  if (got.has_value()) {
+    EXPECT_EQ(got->ToString(), want->ToString()) << label;
   }
 }
 
-TEST(DeciderPruneTest, VerdictAndWitnessIdenticalAcrossPruneArms) {
+// --- decider ------------------------------------------------------------
+
+TEST(DeciderPruneTest, VerdictAndWitnessMatchHandPrunedCopy) {
   Program program = TcWithJunk();
   struct ThetaCase {
     std::string name;
@@ -210,20 +194,25 @@ TEST(DeciderPruneTest, VerdictAndWitnessIdenticalAcrossPruneArms) {
     top.Add(MustParseCq("p(X, Y) :- ."));
     thetas.push_back({"top", std::move(top)});  // contained
   }
+  const std::size_t junk_rules =
+      program.rules().size() - BackwardClosure(program, "p").rules().size();
+  ASSERT_EQ(junk_rules, 2u);
   for (const ThetaCase& t : thetas) {
-    ContainmentOptions with_prune;
-    with_prune.prune_unreachable = true;
-    ContainmentOptions without_prune = with_prune;
-    without_prune.prune_unreachable = false;
     StatusOr<ContainmentDecision> pruned =
-        DecideDatalogInUcq(program, "p", t.theta, with_prune);
-    StatusOr<ContainmentDecision> full =
-        DecideDatalogInUcq(program, "p", t.theta, without_prune);
+        DecideDatalogInUcq(program, "p", t.theta);
+    StatusOr<ContainmentDecision> reference =
+        DecideDatalogInUcq(TcHandPruned(), "p", t.theta);
     ASSERT_TRUE(pruned.ok()) << t.name << " " << pruned.status();
-    ASSERT_TRUE(full.ok()) << t.name << " " << full.status();
-    ExpectSameDecision(*pruned, *full, t.name);
-    EXPECT_EQ(pruned->stats.rules_pruned, 2u) << t.name;
-    EXPECT_EQ(full->stats.rules_pruned, 0u) << t.name;
+    ASSERT_TRUE(reference.ok()) << t.name << " " << reference.status();
+    EXPECT_EQ(pruned->contained, reference->contained) << t.name;
+    ExpectSameTree(pruned->counterexample, reference->counterexample, t.name);
+    EXPECT_EQ(pruned->stats.rules_pruned, junk_rules) << t.name;
+    EXPECT_EQ(reference->stats.rules_pruned, 0u) << t.name;
+    // The explicit A^ptrees / A^θ pipeline agrees on the junk program.
+    StatusOr<ExplicitContainmentResult> explicit_result =
+        DecideContainmentViaExplicitAutomata(program, "p", t.theta);
+    ASSERT_TRUE(explicit_result.ok()) << t.name;
+    EXPECT_EQ(explicit_result->contained, pruned->contained) << t.name;
   }
 }
 
@@ -237,43 +226,34 @@ TEST(DeciderPruneTest, AllReachableProgramPrunesNothing) {
 
 // --- canonical-database direction --------------------------------------
 
-TEST(CanonicalDbPruneTest, VerdictIdenticalAcrossPruneArms) {
+TEST(CanonicalDbPruneTest, VerdictMatchesHandPrunedCopy) {
   Program program = TcWithJunk();
   UnionOfCqs theta = PathQueries(2);  // each path CQ is contained in TC
-  for (bool prune : {true, false}) {
-    CanonicalDbOptions options;
-    options.prune_unreachable = prune;
-    std::size_t failing = 99;
-    StatusOr<bool> contained =
-        IsUcqContainedInDatalog(theta, program, "p", nullptr, options,
-                                &failing);
-    ASSERT_TRUE(contained.ok()) << contained.status();
-    EXPECT_TRUE(*contained) << "prune=" << prune;
-  }
+  StatusOr<bool> contained =
+      IsUcqContainedInDatalog(theta, program, "p", nullptr);
+  ASSERT_TRUE(contained.ok()) << contained.status();
+  EXPECT_TRUE(*contained);
   // Not-contained side: a CQ the program cannot derive.
   UnionOfCqs miss;
   miss.Add(MustParseCq("p(X, Y) :- f(X, Y)."));
   std::size_t failing_pruned = 99;
-  std::size_t failing_full = 99;
-  CanonicalDbOptions on;
-  CanonicalDbOptions off;
-  off.prune_unreachable = false;
-  StatusOr<bool> pruned =
-      IsUcqContainedInDatalog(miss, program, "p", nullptr, on,
-                              &failing_pruned);
-  StatusOr<bool> full =
-      IsUcqContainedInDatalog(miss, program, "p", nullptr, off,
-                              &failing_full);
-  ASSERT_TRUE(pruned.ok() && full.ok());
+  std::size_t failing_reference = 99;
+  StatusOr<bool> pruned = IsUcqContainedInDatalog(
+      miss, program, "p", nullptr, CanonicalDbOptions(), &failing_pruned);
+  StatusOr<bool> reference =
+      IsUcqContainedInDatalog(miss, TcHandPruned(), "p", nullptr,
+                              CanonicalDbOptions(), &failing_reference);
+  ASSERT_TRUE(pruned.ok() && reference.ok());
   EXPECT_FALSE(*pruned);
-  EXPECT_FALSE(*full);
-  EXPECT_EQ(failing_pruned, failing_full);
+  EXPECT_FALSE(*reference);
+  EXPECT_EQ(failing_pruned, failing_reference);
 }
 
 TEST(CanonicalDbPruneTest, ActiveDomainGuardKeepsVerdictsEqual) {
   // The unsafe retained rule plus a junk-only constant is exactly the
-  // corner where naive pruning would change the engine's answer;
-  // PruneForEvaluation declines there, so both arms must agree.
+  // corner where naive pruning could change the engine's answer:
+  // PruneForEvaluation declines there, so the call evaluates the whole
+  // program and gives the unpruned verdict (contained).
   ParseOptions raw;
   raw.lint = false;
   StatusOr<Program> program = ParseProgram(R"(
@@ -282,89 +262,84 @@ TEST(CanonicalDbPruneTest, ActiveDomainGuardKeepsVerdictsEqual) {
     junk(X) :- e(X, a).
   )", raw);
   ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_TRUE(PruneUnreachableRules(*program, "p").has_value());
+  EXPECT_FALSE(PruneForEvaluation(*program, "p").has_value());
   // Head variable X of θ ranges over the canonical database's active
   // domain, which includes the program constant `a`.
   UnionOfCqs theta;
   theta.Add(MustParseCq("p(X) :- ."));
-  CanonicalDbOptions on;
-  CanonicalDbOptions off;
-  off.prune_unreachable = false;
-  StatusOr<bool> pruned =
-      IsUcqContainedInDatalog(theta, *program, "p", nullptr, on);
-  StatusOr<bool> full =
-      IsUcqContainedInDatalog(theta, *program, "p", nullptr, off);
-  ASSERT_TRUE(pruned.ok()) << pruned.status();
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_EQ(*pruned, *full);
+  StatusOr<bool> contained =
+      IsUcqContainedInDatalog(theta, *program, "p", nullptr);
+  ASSERT_TRUE(contained.ok()) << contained.status();
+  EXPECT_TRUE(*contained);
 }
 
 // --- linear fragment and ptrees alphabet -------------------------------
 
-TEST(LinearPruneTest, PruningShrinksAlphabetWithoutChangingVerdict) {
+TEST(LinearPruneTest, PrunedLinearArmMatchesHandPrunedCopy) {
   Program program = MustParseProgram(R"(
     p(X, Y) :- e(X, Y).
     p(X, Y) :- e(X, Z), p(Z, Y).
     junk(X) :- f(X, X), junk(X).
   )");
+  Program hand_pruned = BackwardClosure(program, "p");
+  ASSERT_EQ(hand_pruned, TcHandPruned());
+  StatusOr<ProgramAlphabet> unpruned_alphabet = BuildProgramAlphabet(program);
+  ASSERT_TRUE(unpruned_alphabet.ok()) << unpruned_alphabet.status();
   for (int max_length : {3, 8}) {
     UnionOfCqs theta = PathQueries(max_length);
-    LinearContainmentOptions on;
-    LinearContainmentOptions off;
-    off.prune_unreachable = false;
     StatusOr<LinearContainmentResult> pruned =
-        DecideLinearDatalogInUcq(program, "p", theta, on);
-    StatusOr<LinearContainmentResult> full =
-        DecideLinearDatalogInUcq(program, "p", theta, off);
+        DecideLinearDatalogInUcq(program, "p", theta);
+    StatusOr<LinearContainmentResult> reference =
+        DecideLinearDatalogInUcq(hand_pruned, "p", theta);
     ASSERT_TRUE(pruned.ok()) << pruned.status();
-    ASSERT_TRUE(full.ok()) << full.status();
-    EXPECT_EQ(pruned->contained, full->contained);
-    ASSERT_EQ(pruned->counterexample.has_value(),
-              full->counterexample.has_value());
-    if (pruned->counterexample.has_value()) {
-      EXPECT_EQ(pruned->counterexample->ToString(),
-                full->counterexample->ToString());
-    }
-    EXPECT_LT(pruned->alphabet_size, full->alphabet_size);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    EXPECT_EQ(pruned->contained, reference->contained);
+    ExpectSameTree(pruned->counterexample, reference->counterexample,
+                   StrCat("paths", max_length));
+    EXPECT_EQ(pruned->alphabet_size, reference->alphabet_size);
+    EXPECT_LT(pruned->alphabet_size, unpruned_alphabet->num_labels());
   }
 }
 
 TEST(LinearPruneTest, PruningAdmitsNonlinearUnreachablePart) {
-  // The junk island is nonlinear in IDB; only the pruned arm can decide
-  // this program at all.
+  // The junk island is nonlinear in IDB, so the whole program is outside
+  // the linear fragment; only its reachable part is decided.
   Program program = MustParseProgram(R"(
     p(X, Y) :- e(X, Y).
     p(X, Y) :- e(X, Z), p(Z, Y).
     junk(X, Y) :- junk(X, Z), junk(Z, Y).
   )");
-  LinearContainmentOptions on;
+  EXPECT_FALSE(IsLinearInIdb(program));
   StatusOr<LinearContainmentResult> pruned =
-      DecideLinearDatalogInUcq(program, "p", PathQueries(3), on);
+      DecideLinearDatalogInUcq(program, "p", PathQueries(3));
   ASSERT_TRUE(pruned.ok()) << pruned.status();
   EXPECT_FALSE(pruned->contained);
-
-  LinearContainmentOptions off;
-  off.prune_unreachable = false;
-  StatusOr<LinearContainmentResult> full =
-      DecideLinearDatalogInUcq(program, "p", PathQueries(3), off);
-  EXPECT_FALSE(full.ok());
-  EXPECT_EQ(full.status().code(), StatusCode::kInvalidArgument);
+  StatusOr<LinearContainmentResult> reference =
+      DecideLinearDatalogInUcq(TcHandPruned(), "p", PathQueries(3));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ExpectSameTree(pruned->counterexample, reference->counterexample,
+                 "nonlinear junk");
 }
 
-TEST(PtreesPruneTest, PruningShrinksPtreesAlphabet) {
+TEST(PtreesPruneTest, PrunedPtreesMatchHandPrunedCopy) {
   Program program = TcWithJunk();
-  StatusOr<PtreesAutomaton> pruned = BuildPtreesAutomaton(
-      program, "p", ExecutionLimits(), /*prune_unreachable=*/true);
-  StatusOr<PtreesAutomaton> full = BuildPtreesAutomaton(
-      program, "p", ExecutionLimits(), /*prune_unreachable=*/false);
+  StatusOr<PtreesAutomaton> pruned = BuildPtreesAutomaton(program, "p");
+  StatusOr<PtreesAutomaton> reference =
+      BuildPtreesAutomaton(TcHandPruned(), "p");
+  StatusOr<ProgramAlphabet> unpruned_alphabet = BuildProgramAlphabet(program);
   ASSERT_TRUE(pruned.ok()) << pruned.status();
-  ASSERT_TRUE(full.ok()) << full.status();
-  EXPECT_LT(pruned->alphabet.num_labels(), full->alphabet.num_labels());
-  // TC alone builds the same alphabet as the pruned junk program: the
-  // prune is exactly "restrict to the reachable subprogram".
-  StatusOr<PtreesAutomaton> tc_only =
-      BuildPtreesAutomaton(TransitiveClosureProgram("e", "e"), "p");
-  ASSERT_TRUE(tc_only.ok()) << tc_only.status();
-  EXPECT_EQ(pruned->alphabet.num_labels(), tc_only->alphabet.num_labels());
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_TRUE(unpruned_alphabet.ok()) << unpruned_alphabet.status();
+  EXPECT_LT(pruned->alphabet.num_labels(), unpruned_alphabet->num_labels());
+  ASSERT_EQ(pruned->alphabet.num_labels(), reference->alphabet.num_labels());
+  for (std::size_t s = 0; s < pruned->alphabet.num_labels(); ++s) {
+    EXPECT_EQ(pruned->alphabet.Label(s).ToString(),
+              reference->alphabet.Label(s).ToString());
+  }
+  EXPECT_EQ(pruned->num_states(), reference->num_states());
+  EXPECT_EQ(pruned->nfta.transitions().size(),
+            reference->nfta.transitions().size());
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-// Shared helpers for tests: parse-or-fail wrappers.
+// Shared helpers for tests: parse-or-fail wrappers, and the direct
+// backward closure that goal-directed pruning is checked against.
 #ifndef DATALOG_EQ_TESTS_TEST_UTIL_H_
 #define DATALOG_EQ_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "src/ast/parser.h"
@@ -34,6 +36,29 @@ inline Atom MustParseAtom(const std::string& text) {
 /// (the head predicate name is discarded).
 inline ConjunctiveQuery MustParseCq(const std::string& text) {
   return CqFromRule(MustParseRule(text));
+}
+
+/// The rules of `program` whose head predicate is backward-reachable
+/// from `goal`, in program order, computed directly: the goal is
+/// reachable, and a reachable rule head makes every body predicate
+/// reachable. The reference for src/analysis/reachability.h's pruning.
+inline Program BackwardClosure(const Program& program,
+                               const std::string& goal) {
+  std::set<std::string> reachable = {goal};
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Rule& rule : program.rules()) {
+      if (reachable.count(rule.head().predicate()) == 0) continue;
+      for (const Atom& atom : rule.body()) {
+        changed |= reachable.insert(atom.predicate()).second;
+      }
+    }
+  }
+  Program kept;
+  for (const Rule& rule : program.rules()) {
+    if (reachable.count(rule.head().predicate()) > 0) kept.AddRule(rule);
+  }
+  return kept;
 }
 
 }  // namespace datalog
