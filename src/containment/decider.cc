@@ -21,7 +21,6 @@
 #include "src/util/iteration.h"
 #include "src/util/logging.h"
 #include "src/util/strings.h"
-#include "src/util/thread_pool.h"
 
 namespace datalog {
 namespace {
@@ -86,11 +85,6 @@ struct ContainmentChecker::Context {
   // 0); consumed into ContainmentStats::program_ir_builds by the first
   // Decide on this context.
   std::size_t ir_builds_paid = 0;
-  // Lazily-built worker pool handed to looping canonical-database
-  // drivers via SharedEvalPool (amortizes thread spawns across a
-  // checker's lifetime); null until requested.
-  std::unique_ptr<ThreadPool> eval_pool;
-  std::size_t eval_pool_threads = 0;
   std::int32_t goal_pred_id = -1;
   // Canonical goal atoms -> dense goal ids; row = [pred_id, enc(args)...]
   // with proof variables $k encoded as -(k+1) and constants as their
@@ -836,16 +830,6 @@ StatusOr<ContainmentDecision> ContainmentChecker::Decide(
     const UnionOfCqs& theta, const ContainmentOptions& options) {
   DeciderRun run(context_.get(), theta, options);
   return run.Run();
-}
-
-ThreadPool* ContainmentChecker::SharedEvalPool(std::size_t threads) {
-  if (threads <= 1) return nullptr;
-  if (context_->eval_pool == nullptr ||
-      context_->eval_pool_threads != threads) {
-    context_->eval_pool = std::make_unique<ThreadPool>(threads);
-    context_->eval_pool_threads = threads;
-  }
-  return context_->eval_pool.get();
 }
 
 StatusOr<ContainmentDecision> DecideDatalogInUcq(

@@ -41,7 +41,6 @@
 
 namespace datalog {
 
-class ThreadPool;
 struct ContainmentStats;
 
 struct ContainmentOptions {
@@ -147,17 +146,6 @@ class ContainmentChecker {
   StatusOr<ContainmentDecision> Decide(
       const UnionOfCqs& theta,
       const ContainmentOptions& options = ContainmentOptions());
-
-  /// A worker pool owned by the checker, for drivers that loop
-  /// canonical-database containment checks around it (the equivalence
-  /// pipeline's backward direction): pass it via
-  /// CanonicalDbOptions::pool so the per-call pool spawn inside
-  /// IsUcqContainedInDatalog is paid once per checker instead of once
-  /// per call. Lazily constructed on first request and reused while the
-  /// requested parallelism is unchanged; returns nullptr for `threads`
-  /// <= 1 (no fan-out, so no pool). The pool lives as long as the
-  /// checker; like Decide, calls are not thread-safe.
-  ThreadPool* SharedEvalPool(std::size_t threads);
 
  private:
   friend class DeciderRun;

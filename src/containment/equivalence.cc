@@ -1,7 +1,5 @@
 #include "src/containment/equivalence.h"
 
-#include <algorithm>
-
 #include "src/ast/analysis.h"
 #include "src/containment/ucq_in_datalog.h"
 #include "src/util/strings.h"
@@ -50,19 +48,10 @@ StatusOr<EquivalenceResult> DecideRecNonrecEquivalence(
   // Backward direction: Π' ⊆ Π via canonical databases, disjunct by
   // disjunct (Theorem 2.3 reduces UCQ containment to its disjuncts). The
   // union-level call freezes through the unfolded union's carried IR.
-  // When the disjunct fan-out would spawn a pool and the caller supplied
-  // none, borrow the checker's shared pool: repeated equivalence calls
-  // on one checker then reuse the workers instead of re-spawning them
-  // per containment check.
-  CanonicalDbOptions canonical_db = options.canonical_db;
-  if (canonical_db.pool == nullptr) {
-    canonical_db.pool = checker.SharedEvalPool(std::min(
-        ResolvedEvalThreads(canonical_db.eval), unfolded->size()));
-  }
   std::size_t failing_disjunct = 0;
   StatusOr<bool> backward = IsUcqContainedInDatalog(
       *unfolded, checker.program(), checker.goal(),
-      &result.backward_eval_stats, canonical_db, &failing_disjunct);
+      &result.backward_eval_stats, options.canonical_db, &failing_disjunct);
   if (!backward.ok()) return backward.status();
   result.backward_contained = *backward;
   if (!*backward) {

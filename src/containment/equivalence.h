@@ -4,7 +4,8 @@
 // Π ≡ Π' (Π recursive with goal Q, Π' nonrecursive) is decided as
 //   Π ⊆ Π'  — unfold Π' to a UCQ (§6; exponential blowup) and run the
 //             automata-theoretic containment decider (Theorem 5.12), and
-//   Π' ⊆ Π  — per unfolded disjunct, the canonical-database test [CK86].
+//   Π' ⊆ Π  — the canonical-database test [CK86], one unfolded disjunct
+//             at a time, in order (Theorem 2.3).
 #ifndef DATALOG_EQ_SRC_CONTAINMENT_EQUIVALENCE_H_
 #define DATALOG_EQ_SRC_CONTAINMENT_EQUIVALENCE_H_
 
@@ -22,9 +23,9 @@ namespace datalog {
 struct EquivalenceOptions {
   ContainmentOptions containment;
   UnfoldOptions unfold;
-  /// Options for the backward direction's canonical-database checks —
-  /// canonical_db.eval.num_threads > 1 (or 0 = hardware) fans the
-  /// unfolded disjuncts out across a worker pool.
+  /// Options for the backward direction's canonical-database checks,
+  /// run one unfolded disjunct at a time; canonical_db.eval.num_threads
+  /// sets the engine's staged rounds per disjunct.
   CanonicalDbOptions canonical_db;
 };
 

@@ -1,7 +1,9 @@
-// Containment of (unions of) conjunctive queries in a Datalog program —
+// Containment of unions of conjunctive queries in a Datalog program —
 // the "easy" direction, decidable by the classic canonical-database method
-// [CK86] cited in the paper's introduction: freeze the CQ into a database,
-// evaluate the program, and check that the frozen head tuple is derived.
+// [CK86] cited in the paper's introduction: freeze each disjunct into a
+// database, evaluate the program, and check that the frozen head tuple is
+// derived. Theorem 2.3 reduces the union to its disjuncts, which are
+// checked one at a time, in order.
 //
 // The freeze feeds the engine through the shared-IR dictionary handoff
 // (FreezeDisjunctIntoDatabase, src/cq/canonical_db.h), reusing the
@@ -18,82 +20,54 @@
 
 namespace datalog {
 
-class ThreadPool;
-
-/// The canonical-database instance behind one disjunct's verdict,
-/// exported for independently checkable certificates: the frozen body
-/// facts exactly as the engine loaded them (before evaluation, before
-/// the auxiliary __domain relation) and the goal atom over the frozen
-/// head tuple. On a negative verdict this is the complete
-/// counterexample — any sound fixpoint over `facts` fails to derive
-/// `goal_atom` (src/corpus/verify.h replays it with a naive evaluator).
+/// The canonical-database instance behind one disjunct's negative
+/// verdict, exported for independently checkable certificates: the frozen
+/// body facts exactly as the engine loaded them (without the auxiliary
+/// __domain relation) and the goal atom over the frozen head tuple. This
+/// is the complete counterexample — any sound fixpoint over `facts` fails
+/// to derive `goal_atom` (src/corpus/verify.h replays it with a naive
+/// evaluator).
 struct CanonicalDbWitness {
   std::vector<Atom> facts;
   Atom goal_atom;
 };
 
 struct CanonicalDbOptions {
-  /// Engine options for the canonical-database evaluations. num_threads
-  /// additionally gates the union-level driver's disjunct fan-out: when
-  /// it resolves to more than one thread, IsUcqContainedInDatalog
-  /// evaluates its disjuncts concurrently across a worker pool (each
-  /// disjunct's engine then runs serially — the two parallelism levels
-  /// do not nest) with verdict, failing disjunct, and accumulated stats
-  /// identical to the sequential loop's.
+  /// Engine options for each disjunct's canonical-database evaluation
+  /// (num_threads sets the engine's staged rounds per disjunct).
   EvalOptions eval;
-  /// Optional caller-owned worker pool for the disjunct fan-out. When
-  /// set, IsUcqContainedInDatalog schedules its disjuncts on this pool
-  /// instead of constructing (and tearing down) a fresh ThreadPool per
-  /// call — drivers that loop containment checks (the equivalence
-  /// pipeline, rewriting searches) amortize thread spawns across the
-  /// whole loop. The pool's own parallelism applies; eval.num_threads
-  /// still decides whether fan-out happens at all. Unowned; must outlive
-  /// the call.
-  ThreadPool* pool = nullptr;
-  /// When non-null, the single-disjunct entry points
-  /// (IsCqContainedInDatalog, IsUcqDisjunctContainedInDatalog) fill in
-  /// the frozen database they evaluated, for certificate export. The
-  /// union-level driver ignores it (its disjunct fan-out would race on
-  /// one slot); re-check the failing disjunct through the per-disjunct
-  /// entry to capture its witness. Unowned; must outlive the call.
+  /// When non-null and the verdict is "not contained", receives the
+  /// frozen database of the first failing disjunct, for certificate
+  /// export. Left untouched on a contained verdict. Unowned; must
+  /// outlive the call.
   CanonicalDbWitness* witness = nullptr;
 };
 
-/// θ ⊆ Q_Π: evaluates Π over the canonical database of θ and tests the
-/// frozen head tuple. For θ with head variables that do not occur in the
-/// body, active-domain semantics applies (consistent with the evaluation
-/// engine); such a θ over an empty body is contained only if the program
-/// derives the goal over every database, which the canonical-database
-/// method checks on the frozen instance. When `stats` is non-null, the
-/// engine's work counters accumulate into it across calls.
+/// θ_i ⊆ Q_Π for one disjunct of a union, freezing through the union's
+/// carried ProgramIr (ir::CarriedIr). For θ_i with head variables that do
+/// not occur in the body, active-domain semantics applies (consistent
+/// with the evaluation engine); such a θ_i over an empty body is
+/// contained only if the program derives the goal over every database,
+/// which the canonical-database method checks on the frozen instance.
+/// When `stats` is non-null, the engine's work counters accumulate into
+/// it across calls.
 ///
-/// All three entries first drop the rules not backward-reachable from
-/// the goal, via the active-domain-guarded PruneForEvaluation
+/// Both entries first drop the rules not backward-reachable from the
+/// goal, via the active-domain-guarded PruneForEvaluation
 /// (src/analysis/reachability.h): the guard declines to prune exactly
 /// when removing a rule's constants could change an unsafe retained
-/// rule's enumeration, so pruning never changes a verdict. The union
-/// entry prunes once, before any disjunct loop or fan-out.
-StatusOr<bool> IsCqContainedInDatalog(
-    const ConjunctiveQuery& theta, const Program& program,
-    const std::string& goal, EvalStats* stats = nullptr,
-    const CanonicalDbOptions& options = CanonicalDbOptions());
-
-/// θ_i ⊆ Q_Π for one disjunct of a union, freezing through the union's
-/// carried ProgramIr (ir::CarriedIr). This is the entry for drivers that
-/// loop single CQs: batch the CQs into a UnionOfCqs once and check
-/// disjuncts through it, instead of paying a throwaway singleton IR per
-/// IsCqContainedInDatalog call. IsUcqContainedInDatalog's sequential and
-/// parallel loops are both built on it.
+/// rule's enumeration, so pruning never changes a verdict.
 StatusOr<bool> IsUcqDisjunctContainedInDatalog(
     const UnionOfCqs& theta, std::size_t disjunct, const Program& program,
     const std::string& goal, EvalStats* stats = nullptr,
     const CanonicalDbOptions& options = CanonicalDbOptions());
 
-/// Θ ⊆ Q_Π: every disjunct contained. Uses Θ's carried ProgramIr
-/// (ir::CarriedIr), so repeated calls on the same union —
-/// the equivalence pipeline's backward direction, rewriting searches —
-/// re-intern nothing. When not contained and `failing_disjunct` is
-/// non-null, it receives the index of the first uncontained disjunct.
+/// Θ ⊆ Q_Π: every disjunct contained, checked in order with the program
+/// pruned once. Uses Θ's carried ProgramIr (ir::CarriedIr), so repeated
+/// calls on the same union — the equivalence pipeline's backward
+/// direction, the corpus forward stage — re-intern nothing. Stops at the
+/// first uncontained disjunct: `failing_disjunct`, when non-null,
+/// receives its index, and options.witness its frozen database.
 StatusOr<bool> IsUcqContainedInDatalog(
     const UnionOfCqs& theta, const Program& program, const std::string& goal,
     EvalStats* stats = nullptr,

@@ -5,8 +5,6 @@
 #include <set>
 
 #include "src/ast/analysis.h"
-#include "src/cq/containment.h"
-#include "src/cq/minimize.h"
 #include "src/util/strings.h"
 
 namespace datalog {
@@ -64,7 +62,6 @@ class Unfolder {
         Status s = Expand(rule.head().args(), done, rule.body(), 0, &ucq);
         if (!s.ok()) return s;
       }
-      if (options_.minimize) ucq = MinimizeUcq(ucq);
       ucqs_[predicate] = std::move(ucq);
     }
     auto it = ucqs_.find(goal);

@@ -20,9 +20,6 @@ struct UnfoldOptions {
   /// Abort when the total number of body atoms across disjuncts exceeds
   /// this.
   std::size_t max_total_atoms = 10'000'000;
-  /// Minimize each disjunct and drop redundant disjuncts as they are
-  /// produced (slower, smaller output).
-  bool minimize = false;
 };
 
 /// Rewrites the nonrecursive `program` as a union of conjunctive queries

@@ -99,6 +99,12 @@ Status RunStage(const std::string& name,
   pool->ParallelFor(active.size(), [&](std::size_t k) {
     slots[k] = fn(instances[active[k]], (*flags)[active[k]]);
   });
+  // A failed slot merges as one timeout certificate or aborts the stage.
+  std::size_t total_certs = 0;
+  for (const Outcome& slot : slots) {
+    total_certs += slot.status.ok() ? slot.certs.size() : 1;
+  }
+  report.certificates.reserve(total_certs);
   for (std::size_t k = 0; k < active.size(); ++k) {
     const std::size_t i = active[k];
     Outcome& slot = slots[k];
@@ -238,24 +244,20 @@ Outcome LintInstance(const CorpusInstance& inst) {
 Outcome ForwardInstance(const CorpusInstance& inst,
                         const PipelineOptions& options) {
   Outcome out;
+  CanonicalDbWitness witness;
   CanonicalDbOptions db_opts;
   db_opts.eval.num_threads = 1;
   db_opts.eval.limits = InstanceLimits(options);
+  db_opts.witness = &witness;
   const std::vector<ConjunctiveQuery>& disjuncts = inst.theta.disjuncts();
-  std::size_t failing = disjuncts.size();
-  for (std::size_t d = 0; d < disjuncts.size(); ++d) {
-    StatusOr<bool> contained = IsUcqDisjunctContainedInDatalog(
-        inst.theta, d, inst.program, inst.goal, nullptr, db_opts);
-    if (!contained.ok()) {
-      out.status = Annotate(inst.id, contained.status());
-      return out;
-    }
-    if (!*contained) {
-      failing = d;
-      break;
-    }
+  std::size_t failing = 0;
+  StatusOr<bool> contained = IsUcqContainedInDatalog(
+      inst.theta, inst.program, inst.goal, nullptr, db_opts, &failing);
+  if (!contained.ok()) {
+    out.status = Annotate(inst.id, contained.status());
+    return out;
   }
-  if (failing == disjuncts.size()) {
+  if (*contained) {
     // Cross-check doubles as certificate construction: the naive
     // kernel must find a derivation for every disjunct the engine
     // called contained.
@@ -282,23 +284,6 @@ Outcome ForwardInstance(const CorpusInstance& inst,
     out.certs.push_back(std::move(cert));
     return out;
   }
-  // Re-run the failing disjunct through the single-disjunct entry to
-  // capture its canonical database for the certificate.
-  CanonicalDbWitness witness;
-  CanonicalDbOptions witness_opts = db_opts;
-  witness_opts.witness = &witness;
-  StatusOr<bool> again = IsUcqDisjunctContainedInDatalog(
-      inst.theta, failing, inst.program, inst.goal, nullptr, witness_opts);
-  if (!again.ok()) {
-    out.status = Annotate(inst.id, again.status());
-    return out;
-  }
-  if (*again) {
-    out.status = InternalError(StrCat(
-        "instance ", inst.id, ": forward stage nondeterminism: disjunct ",
-        failing, " flipped verdicts between runs"));
-    return out;
-  }
   NaiveFrozenCq frozen = NaiveFreezeCq(inst.goal, disjuncts[failing]);
   StatusOr<std::optional<std::vector<DerivationStep>>> steps =
       FindDerivation(inst.program, frozen.facts, frozen.goal_atom,
@@ -317,7 +302,7 @@ Outcome ForwardInstance(const CorpusInstance& inst,
   Certificate cert = MakeCert(inst.id, CertificateKind::kForwardNotContained);
   cert.failing_disjunct = failing;
   cert.frozen_facts = std::move(witness.facts);
-  cert.frozen_goal = witness.goal_atom;
+  cert.frozen_goal = std::move(witness.goal_atom);
   out.add_flags = kFlagForwardResolved;
   out.certs.push_back(std::move(cert));
   return out;

@@ -7,8 +7,9 @@
 //   lint    — static validity (LintProgram errors plus the Θ-side
 //             checks the linter does not know about). Invalid instances
 //             get an `invalid` certificate and leave the pipeline.
-//   forward — Θ ⊆ Q_Π per disjunct by the canonical-database method,
-//             cross-checked against the naive kernel's derivation
+//   forward — Θ ⊆ Q_Π by the canonical-database method, one union-level
+//             call per instance (which also returns the first failing
+//             disjunct's frozen database), cross-checked against the naive kernel's derivation
 //             search (a disagreement is an InternalError naming the
 //             instance — the differential harness, not a verdict).
 //             Emits forward-contained / forward-not-contained.

@@ -18,6 +18,13 @@
 namespace datalog {
 namespace {
 
+// The worker count EvalOptions::num_threads resolves to: 0 means the
+// hardware concurrency, anything below 1 clamps to 1.
+std::size_t ResolvedEvalThreads(const EvalOptions& options) {
+  if (options.num_threads == 0) return ThreadPool::HardwareConcurrency();
+  return static_cast<std::size_t>(std::max(1, options.num_threads));
+}
+
 // The fact cap counts head-tuple emissions, duplicates included, not
 // distinct facts; the message says so.
 Status FactCapExceeded(std::size_t max_facts) {
@@ -929,11 +936,6 @@ class Evaluator {
 };
 
 }  // namespace
-
-std::size_t ResolvedEvalThreads(const EvalOptions& options) {
-  if (options.num_threads == 0) return ThreadPool::HardwareConcurrency();
-  return static_cast<std::size_t>(std::max(1, options.num_threads));
-}
 
 StatusOr<Database> EvaluateProgram(const Program& program, const Database& edb,
                                    const EvalOptions& options,

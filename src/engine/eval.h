@@ -112,12 +112,6 @@ struct EvalStats {
   }
 };
 
-/// The worker count EvalOptions::num_threads resolves to: 0 means the
-/// hardware concurrency, anything below 1 clamps to 1. The one place
-/// the resolution rule lives — the engine's fixpoint and the
-/// canonical-database disjunct fan-out both consult it.
-std::size_t ResolvedEvalThreads(const EvalOptions& options);
-
 /// Evaluates `program` over `edb` and returns a database containing both
 /// the input facts and all derived IDB facts. The input database's
 /// dictionary is extended with any constants appearing in the program.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/containment/unfold.h"
 #include "src/cq/containment.h"
 #include "src/cq/minimize.h"
 #include "tests/test_util.h"
@@ -69,6 +70,22 @@ TEST(MinimizeUcqTest, MinimizesDisjunctsAndDropsRedundant) {
   for (const ConjunctiveQuery& cq : minimized.disjuncts()) {
     EXPECT_EQ(cq.body().size(), 1u);
   }
+}
+
+TEST(MinimizeUcqTest, ShrinksRedundantUnfoldings) {
+  // Unfolding renames each use of m apart, so the two m atoms become two
+  // e atoms that fold onto one.
+  Program p = MustParseProgram(R"(
+    top(X) :- m(X), m(X).
+    m(X) :- e(X, Y).
+  )");
+  StatusOr<UnionOfCqs> big = UnfoldNonrecursive(p, "top");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(big->disjuncts()[0].body().size(), 2u);
+  UnionOfCqs small = MinimizeUcq(*big);
+  ASSERT_EQ(small.size(), 1u);
+  EXPECT_EQ(small.disjuncts()[0].body().size(), 1u);
+  EXPECT_TRUE(IsUcqEquivalent(*big, small));
 }
 
 }  // namespace

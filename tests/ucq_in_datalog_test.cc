@@ -2,7 +2,6 @@
 
 #include "src/containment/ucq_in_datalog.h"
 #include "src/generators/examples.h"
-#include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace datalog {
@@ -10,7 +9,9 @@ namespace {
 
 bool MustCheck(const ConjunctiveQuery& theta, const Program& program,
                const std::string& goal) {
-  StatusOr<bool> result = IsCqContainedInDatalog(theta, program, goal);
+  UnionOfCqs single;
+  single.Add(theta);
+  StatusOr<bool> result = IsUcqContainedInDatalog(single, program, goal);
   EXPECT_TRUE(result.ok()) << result.status();
   return *result;
 }
@@ -93,84 +94,52 @@ TEST(UcqInDatalogTest, UnionContainedIffEveryDisjunctIs) {
 // IsUcqDisjunctContainedInDatalog and folding the per-disjunct stats
 // with Accumulate must equal the whole-union run's recount, field for
 // field — including the planner counters (plans_cached, plans_rebuilt,
-// est_cost_total), which Accumulate must cover. An all-contained union
-// is used so the whole-run loop does not short-circuit.
+// est_cost_total), which Accumulate must cover, and at 4 engine threads
+// the staged-round counters. An all-contained union is used so the
+// whole-run loop does not short-circuit.
 TEST(UcqInDatalogTest, PerDisjunctStatsAccumulateToWholeRunRecount) {
   Program tc = MustParseProgram(R"(
     p(X, Y) :- e(X, Y).
     p(X, Y) :- e(X, Z), p(Z, Y).
   )");
   UnionOfCqs good = PathQueries(4);
-  EvalStats whole;
-  StatusOr<bool> all = IsUcqContainedInDatalog(good, tc, "p", &whole);
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(*all);
+  for (int threads : {1, 4}) {
+    CanonicalDbOptions options;
+    options.eval.num_threads = threads;
+    EvalStats whole;
+    StatusOr<bool> all =
+        IsUcqContainedInDatalog(good, tc, "p", &whole, options);
+    ASSERT_TRUE(all.ok());
+    EXPECT_TRUE(*all);
 
-  EvalStats accumulated;
-  for (std::size_t d = 0; d < good.size(); ++d) {
-    EvalStats per_disjunct;
-    StatusOr<bool> got =
-        IsUcqDisjunctContainedInDatalog(good, d, tc, "p", &per_disjunct);
-    ASSERT_TRUE(got.ok());
-    EXPECT_TRUE(*got);
-    accumulated.Accumulate(per_disjunct);
+    EvalStats accumulated;
+    for (std::size_t d = 0; d < good.size(); ++d) {
+      EvalStats per_disjunct;
+      StatusOr<bool> got = IsUcqDisjunctContainedInDatalog(
+          good, d, tc, "p", &per_disjunct, options);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(*got);
+      accumulated.Accumulate(per_disjunct);
+    }
+    SCOPED_TRACE(threads);
+    EXPECT_EQ(accumulated.iterations, whole.iterations);
+    EXPECT_EQ(accumulated.facts_derived, whole.facts_derived);
+    EXPECT_EQ(accumulated.join_probes, whole.join_probes);
+    EXPECT_EQ(accumulated.index_probes, whole.index_probes);
+    EXPECT_EQ(accumulated.index_builds, whole.index_builds);
+    EXPECT_EQ(accumulated.tuples_indexed, whole.tuples_indexed);
+    EXPECT_EQ(accumulated.rounds_parallel, whole.rounds_parallel);
+    EXPECT_EQ(accumulated.tuples_staged, whole.tuples_staged);
+    EXPECT_EQ(accumulated.merge_collisions, whole.merge_collisions);
+    EXPECT_EQ(accumulated.strata, whole.strata);
+    EXPECT_EQ(accumulated.rounds_saved, whole.rounds_saved);
+    EXPECT_EQ(accumulated.plans_cached, whole.plans_cached);
+    EXPECT_EQ(accumulated.plans_rebuilt, whole.plans_rebuilt);
+    EXPECT_EQ(accumulated.est_cost_total, whole.est_cost_total);
+    if (threads > 1) {
+      EXPECT_GT(whole.rounds_parallel, 0u);
+    }
   }
-  EXPECT_EQ(accumulated.iterations, whole.iterations);
-  EXPECT_EQ(accumulated.facts_derived, whole.facts_derived);
-  EXPECT_EQ(accumulated.join_probes, whole.join_probes);
-  EXPECT_EQ(accumulated.index_probes, whole.index_probes);
-  EXPECT_EQ(accumulated.index_builds, whole.index_builds);
-  EXPECT_EQ(accumulated.tuples_indexed, whole.tuples_indexed);
-  EXPECT_EQ(accumulated.rounds_parallel, whole.rounds_parallel);
-  EXPECT_EQ(accumulated.tuples_staged, whole.tuples_staged);
-  EXPECT_EQ(accumulated.merge_collisions, whole.merge_collisions);
-  EXPECT_EQ(accumulated.strata, whole.strata);
-  EXPECT_EQ(accumulated.rounds_saved, whole.rounds_saved);
-  EXPECT_EQ(accumulated.plans_cached, whole.plans_cached);
-  EXPECT_EQ(accumulated.plans_rebuilt, whole.plans_rebuilt);
-  EXPECT_EQ(accumulated.est_cost_total, whole.est_cost_total);
-}
-
-TEST(UcqInDatalogTest, CallerSuppliedPoolMatchesSequential) {
-  // A caller-owned ThreadPool amortizes thread spawns across repeated
-  // union-level checks; the verdict, failing disjunct, and stats must
-  // match both the per-call pool and the sequential loop.
-  Program tc = MustParseProgram(R"(
-    p(X, Y) :- e(X, Y).
-    p(X, Y) :- e(X, Z), p(Z, Y).
-  )");
-  UnionOfCqs mixed = PathQueries(3);
-  mixed.Add(MustParseCq("p(X, Y) :- f(X, Y)."));
-
-  CanonicalDbOptions sequential;
-  sequential.eval.num_threads = 1;
-  EvalStats seq_stats;
-  std::size_t seq_failing = 0;
-  StatusOr<bool> seq = IsUcqContainedInDatalog(mixed, tc, "p", &seq_stats,
-                                               sequential, &seq_failing);
-  ASSERT_TRUE(seq.ok());
-
-  ThreadPool pool(4);
-  CanonicalDbOptions pooled;
-  pooled.eval.num_threads = 4;
-  pooled.pool = &pool;
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    EvalStats pool_stats;
-    std::size_t pool_failing = 0;
-    StatusOr<bool> got = IsUcqContainedInDatalog(
-        mixed, tc, "p", &pool_stats, pooled, &pool_failing);
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *seq);
-    EXPECT_EQ(pool_failing, seq_failing);
-    EXPECT_EQ(pool_stats.iterations, seq_stats.iterations);
-    EXPECT_EQ(pool_stats.facts_derived, seq_stats.facts_derived);
-  }
-
-  UnionOfCqs good = PathQueries(3);
-  StatusOr<bool> all_good =
-      IsUcqContainedInDatalog(good, tc, "p", nullptr, pooled);
-  ASSERT_TRUE(all_good.ok());
-  EXPECT_TRUE(*all_good);
 }
 
 TEST(UcqInDatalogTest, HeadOnlyVariableQuery) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/containment/unfold.h"
-#include "src/cq/containment.h"
 #include "src/engine/eval.h"
 #include "src/engine/random_db.h"
 #include "src/generators/examples.h"
@@ -176,23 +175,6 @@ TEST(UnfoldTest, DisjunctLimitEnforced) {
       UnfoldNonrecursive(p, WordPredicate(10), options);
   ASSERT_FALSE(ucq.ok());
   EXPECT_EQ(ucq.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(UnfoldTest, MinimizeShrinksRedundantUnfoldings) {
-  Program p = MustParseProgram(R"(
-    top(X) :- m(X), m(X).
-    m(X) :- e(X, Y).
-  )");
-  UnfoldOptions plain;
-  UnfoldOptions minimizing;
-  minimizing.minimize = true;
-  StatusOr<UnionOfCqs> big = UnfoldNonrecursive(p, "top", plain);
-  StatusOr<UnionOfCqs> small = UnfoldNonrecursive(p, "top", minimizing);
-  ASSERT_TRUE(big.ok());
-  ASSERT_TRUE(small.ok());
-  EXPECT_EQ(big->disjuncts()[0].body().size(), 2u);
-  EXPECT_EQ(small->disjuncts()[0].body().size(), 1u);
-  EXPECT_TRUE(IsUcqEquivalent(*big, *small));
 }
 
 }  // namespace

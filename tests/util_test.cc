@@ -52,6 +52,35 @@ TEST(StatusOrTest, HoldsError) {
   EXPECT_EQ(v.status().code(), StatusCode::kNotFound);
 }
 
+// Counts the copies made of it; moves are free.
+struct CopyCounter {
+  static int copies;
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter&) { ++copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) {
+    ++copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) noexcept = default;
+};
+int CopyCounter::copies = 0;
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesTheValue) {
+  StatusOr<CopyCounter> s = CopyCounter();
+  CopyCounter::copies = 0;
+  std::vector<CopyCounter> sink;
+  sink.reserve(3);
+  sink.push_back(*std::move(s));
+  StatusOr<CopyCounter> t = CopyCounter();
+  sink.emplace_back(*std::move(t));
+  EXPECT_EQ(CopyCounter::copies, 0);
+  // An lvalue still copies.
+  StatusOr<CopyCounter> u = CopyCounter();
+  sink.push_back(*u);
+  EXPECT_EQ(CopyCounter::copies, 1);
+}
+
 TEST(StringsTest, StrJoinBasic) {
   std::vector<std::string> parts = {"a", "b", "c"};
   EXPECT_EQ(StrJoin(parts, ", "), "a, b, c");
