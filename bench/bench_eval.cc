@@ -543,6 +543,32 @@ void BM_LinearWordAutomaton(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearWordAutomaton)->Arg(1);
 
+// The heaviest tc instance the corpus runs through the linear arm: the
+// step-2 chain stepper (4,160 labels) against the union of the paths of
+// length 1 to 4, refuted after 499 explored pairs with 5,208 theta states
+// materialised (the figures LinearDeciderTest pins). Most of its time is
+// the on-demand theta expansion and the antichain subset search.
+void BM_LinearHeaviestCorpusTc(benchmark::State& state) {
+  Program stepper = ChainProgram(2);
+  UnionOfCqs paths = PathQueries(4);
+  std::size_t theta_states = 0;
+  std::size_t pairs_explored = 0;
+  for (auto _ : state) {
+    StatusOr<LinearContainmentResult> result =
+        DecideLinearDatalogInUcq(stepper, "p", paths);
+    DATALOG_CHECK(result.ok());
+    DATALOG_CHECK(!result->contained);
+    theta_states = result->theta_states;
+    pairs_explored = result->pairs_explored;
+    benchmark::DoNotOptimize(result);
+  }
+  DATALOG_CHECK_EQ(theta_states, 5208u);
+  DATALOG_CHECK_EQ(pairs_explored, 499u);
+  state.counters["theta_states"] = static_cast<double>(theta_states);
+  state.counters["pairs_explored"] = static_cast<double>(pairs_explored);
+}
+BENCHMARK(BM_LinearHeaviestCorpusTc)->Unit(benchmark::kMillisecond);
+
 // The linear decider on a program whose alphabet cannot fit the corpus
 // pipeline's 50,000-label cap: the step-5 chain stepper has |var(Π)| = 10
 // and a 7-variable recursive rule, whose 10^7 instances overflow the cap

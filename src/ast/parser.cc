@@ -310,6 +310,16 @@ StatusOr<Atom> ParseAtom(std::string_view text) {
   return atom;
 }
 
+bool IsPredicateName(std::string_view name) {
+  if (name.empty() || name[0] < 'a' || name[0] > 'z') return false;
+  for (char c : name) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') {
+      return false;
+    }
+  }
+  return true;
+}
+
 StatusOr<Rule> ParseRule(std::string_view text) {
   StatusOr<std::vector<Token>> tokens = TokenizeAll(text);
   if (!tokens.ok()) return tokens.status();

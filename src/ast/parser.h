@@ -48,6 +48,12 @@ StatusOr<Atom> ParseAtom(std::string_view text);
 /// Parses a single rule (with trailing '.'), e.g. "p(X) :- e(X, Y).".
 StatusOr<Rule> ParseRule(std::string_view text);
 
+/// True if the parser reads `name` as a predicate name: a lowercase ASCII
+/// letter followed by letters, digits and underscores. Names outside this
+/// set, such as `__domain` (a variable to the parser), are left to
+/// auxiliary relations; the corpus reader refuses them as predicates.
+bool IsPredicateName(std::string_view name);
+
 }  // namespace datalog
 
 #endif  // DATALOG_EQ_SRC_AST_PARSER_H_

@@ -346,9 +346,21 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
     return status;
   };
 
+  // The antichain is filled when a pair is queued, not when it is popped:
+  // a candidate (t, S) is queued, and later explored, only if Insert
+  // accepts S into visited[t], i.e. no pair queued before it dominates
+  // it. Filtering at pop time against the pairs explored so far keeps
+  // exactly the same pairs. The queue is FIFO, so every pair queued
+  // before a candidate is popped before it, and a dominating one would
+  // have dropped the candidate at its pop all the same. Pruning a stored
+  // superset loses nothing, because the set that pruned it dominates
+  // whatever it dominated. So the explored pairs, their order, the
+  // expander calls and the counterexample are unchanged, in antichain
+  // mode and in exact mode (where dominance is equality), while the
+  // queue holds no pair that would be dropped unexplored.
   std::deque<Item> queue;
   for (std::size_t s = 0; s < a.num_states(); ++s) {
-    if (a.initial_[s]) {
+    if (a.initial_[s] && visited[s].Insert(b_start, 0)) {
       queue.push_back({static_cast<int>(s), b_start, kEmptyWord});
     }
   }
@@ -361,9 +373,6 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
     if (!s.ok()) return s;
     Item item = std::move(queue.front());
     queue.pop_front();
-    // Insert both probes for a dominating visited subset and prunes the
-    // now-dominated supersets — the covered-check + record pair in one.
-    if (!visited[item.state].Insert(item.set, 0)) continue;
     if (++result.explored > max_explored) {
       return Status(ResourceExhaustedError(
           StrCat("containment exceeded ", max_explored, " pairs")));
@@ -388,7 +397,7 @@ StatusOr<Nfa::ContainmentResult> Nfa::Contains(
           // This item's word + symbol, made on first use.
           std::size_t word = kEmptyWord;
           for (; first != last; ++first) {
-            if (visited[first->target].Dominated(next_set)) continue;
+            if (!visited[first->target].Insert(next_set, 0)) continue;
             if (word == kEmptyWord) {
               word = words.size();
               words.push_back({item.word, symbol});

@@ -1,6 +1,7 @@
 #include "src/containment/absorb.h"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 
 #include "src/util/hash.h"
@@ -81,67 +82,6 @@ void EnumerateAbsorptions(const QueryAnalysis& query,
       EnumerateAbsorptions(query, candidate_mask, edb_atoms, assignment,
                            trail, atom_index + 1,
                            chosen | (std::uint64_t{1} << atom_index), emit);
-    }
-    assignment->Undo(trail, mark);
-  }
-}
-
-// --- the IR (dense-id) mirror of the machinery above -------------------
-// The working assignment is the shared ir::DenseBinding (binds are
-// integer stores; consistency checks integer compares, counted into
-// *pinned_compares by the callers that thread a counter through).
-
-// IR rendering of EnumerateAbsorptions: subsets of the candidate atoms of
-// `query` mapped homomorphically into `edb_atoms`, with every unification
-// an integer compare.
-void IrEnumerateAbsorptions(const IrQueryAnalysis& query,
-                            std::uint64_t candidate_mask,
-                            const std::vector<IrInstanceAtom>& edb_atoms,
-                            ir::DenseBinding* assignment,
-                            std::vector<std::int32_t>* trail, int atom_index,
-                            std::uint64_t chosen, std::size_t* pinned_compares,
-                            const std::function<void(std::uint64_t)>& emit) {
-  int n = static_cast<int>(query.body.size());
-  while (atom_index < n &&
-         (candidate_mask & (std::uint64_t{1} << atom_index)) == 0) {
-    ++atom_index;
-  }
-  if (atom_index >= n) {
-    emit(chosen);
-    return;
-  }
-  const IrQueryAtom& from = query.body[atom_index];
-  // Option 1: skip this atom.
-  IrEnumerateAbsorptions(query, candidate_mask, edb_atoms, assignment, trail,
-                         atom_index + 1, chosen, pinned_compares, emit);
-  // Option 2: map it to some EDB atom of the rule body.
-  for (const IrInstanceAtom& to : edb_atoms) {
-    if (to.predicate != from.predicate ||
-        to.args.size() != from.args.size()) {
-      continue;
-    }
-    std::size_t mark = trail->size();
-    bool ok = true;
-    for (std::size_t i = 0; i < from.args.size(); ++i) {
-      std::int32_t f = from.args[i];
-      ir::TermId t = to.args[i];
-      if (f < 0) {  // constant: image must be the same constant
-        if (t != ir::TermId::Constant(static_cast<std::uint32_t>(~f))) {
-          ok = false;
-          break;
-        }
-        continue;
-      }
-      if (!assignment->Bind(f, t, trail, pinned_compares)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) {
-      IrEnumerateAbsorptions(query, candidate_mask, edb_atoms, assignment,
-                             trail, atom_index + 1,
-                             chosen | (std::uint64_t{1} << atom_index),
-                             pinned_compares, emit);
     }
     assignment->Undo(trail, mark);
   }
@@ -401,23 +341,6 @@ bool RootAccepts(const std::vector<IrQueryAnalysis>& queries,
     }
   }
   return false;
-}
-
-void EnumerateForwardAbsorptions(
-    const IrQueryAnalysis& query, std::uint64_t pending_mask,
-    const std::vector<IrInstanceAtom>& edb_atoms, const IrPinnedMap& seed,
-    const std::function<void(std::uint64_t, const ir::IrSubstitution&)>&
-        visit) {
-  ir::DenseBinding assignment(query.base->vars.size());
-  std::vector<std::int32_t> trail;
-  for (const auto& [v, term] : seed) {
-    bool ok = assignment.Bind(v, term, &trail, nullptr);
-    DATALOG_CHECK(ok) << "inconsistent seed assignment";
-  }
-  IrEnumerateAbsorptions(query, pending_mask, edb_atoms, &assignment, &trail,
-                         0, 0, nullptr, [&](std::uint64_t beta_prime) {
-                           visit(beta_prime, assignment.image);
-                         });
 }
 
 bool RootAcceptsQuery(const QueryAnalysis& query, const Atom& root_goal,

@@ -27,7 +27,6 @@
 #define DATALOG_EQ_SRC_CONTAINMENT_ABSORB_H_
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -126,7 +125,11 @@ bool RootAcceptsQuery(const QueryAnalysis& query, const Atom& root_goal,
 // every bind, compare, and sort. The IR encoding runs the identical
 // semantics on dense ids: pinned images are ir::TermId (variables are
 // frame-local proof-variable indexes, constants dictionary ids), so
-// homomorphism and consistency checks are single integer compares.
+// homomorphism and consistency checks are single integer compares. One
+// enumerator kernel, the IrEnumerateAbsorptions template at the end of
+// this file, serves both IR steps: the bottom-up CombineAtNode and the
+// linear arm's top-down forward step (ThetaWordUnion::Expand in
+// linear.cc), each passing its visitor inline.
 // tests/decider_agreement_test.cc checks the decider built on it against
 // the explicit automata and against verifier replay of its traces.
 
@@ -182,19 +185,71 @@ bool RootAccepts(const std::vector<IrQueryAnalysis>& queries,
                  const std::vector<ir::TermId>& root_goal_args,
                  const IrAchievedSet& set, std::size_t* pinned_compares);
 
-/// Forward (top-down) absorption step, used by the word-automaton
-/// construction for linear programs: enumerates every subset β' of the
-/// pending atoms `pending_mask` of `query` that maps homomorphically into
-/// `edb_atoms` consistently with the seed assignment, and calls
-/// `visit(beta_prime, assignment)` with the extended dense assignment
-/// (indexed by query variable id; invalid TermId = unassigned). The empty
-/// subset is included. Every unification is an integer compare; the seed
-/// pins images in the instance frame (TermIds).
-void EnumerateForwardAbsorptions(
-    const IrQueryAnalysis& query, std::uint64_t pending_mask,
-    const std::vector<IrInstanceAtom>& edb_atoms, const IrPinnedMap& seed,
-    const std::function<void(std::uint64_t, const ir::IrSubstitution&)>&
-        visit);
+/// The absorption enumerator on the IR encoding, shared by the IR
+/// CombineAtNode and the linear arm's forward step: enumerates every
+/// subset β' of the candidate atoms `candidate_mask` of `query` (atoms at
+/// or after `atom_index`) that maps homomorphically into `edb_atoms`
+/// consistently with `*assignment`, and calls `emit(chosen | β')` with
+/// `*assignment` extended by that mapping (dense, indexed by query
+/// variable id; invalid TermId = unassigned). The empty subset is
+/// included. Every unification is an integer compare, counted into
+/// `*pinned_compares` when non-null. Binds go on `*trail` and are undone
+/// before returning, so the assignment ends as it began. A template over
+/// the visitor, so each absorption is a direct call, not a
+/// std::function one.
+template <typename Emit>
+void IrEnumerateAbsorptions(const IrQueryAnalysis& query,
+                            std::uint64_t candidate_mask,
+                            const std::vector<IrInstanceAtom>& edb_atoms,
+                            ir::DenseBinding* assignment,
+                            std::vector<std::int32_t>* trail, int atom_index,
+                            std::uint64_t chosen, std::size_t* pinned_compares,
+                            Emit&& emit) {
+  int n = static_cast<int>(query.body.size());
+  while (atom_index < n &&
+         (candidate_mask & (std::uint64_t{1} << atom_index)) == 0) {
+    ++atom_index;
+  }
+  if (atom_index >= n) {
+    emit(chosen);
+    return;
+  }
+  const IrQueryAtom& from = query.body[atom_index];
+  // Option 1: skip this atom.
+  IrEnumerateAbsorptions(query, candidate_mask, edb_atoms, assignment, trail,
+                         atom_index + 1, chosen, pinned_compares, emit);
+  // Option 2: map it to some EDB atom of the rule body.
+  for (const IrInstanceAtom& to : edb_atoms) {
+    if (to.predicate != from.predicate ||
+        to.args.size() != from.args.size()) {
+      continue;
+    }
+    std::size_t mark = trail->size();
+    bool ok = true;
+    for (std::size_t i = 0; i < from.args.size(); ++i) {
+      std::int32_t f = from.args[i];
+      ir::TermId t = to.args[i];
+      if (f < 0) {  // constant: image must be the same constant
+        if (t != ir::TermId::Constant(static_cast<std::uint32_t>(~f))) {
+          ok = false;
+          break;
+        }
+        continue;
+      }
+      if (!assignment->Bind(f, t, trail, pinned_compares)) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) {
+      IrEnumerateAbsorptions(query, candidate_mask, edb_atoms, assignment,
+                             trail, atom_index + 1,
+                             chosen | (std::uint64_t{1} << atom_index),
+                             pinned_compares, emit);
+    }
+    assignment->Undo(trail, mark);
+  }
+}
 
 }  // namespace datalog
 

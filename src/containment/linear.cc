@@ -19,8 +19,8 @@ namespace {
 // The automata are built from the alphabet's per-symbol IR encodings
 // (ProgramAlphabet::LabelIr): IDB atoms over var(Π) intern to dense ids
 // through rows [pred, enc(arg)...] in a VarKeyTable, and the absorption
-// enumeration runs on EnumerateForwardAbsorptions' TermIds — no Terms
-// move and nothing is rendered.
+// enumeration runs on IrEnumerateAbsorptions' TermIds — no Terms move
+// and nothing is rendered.
 
 // The A^ptrees word automaton's per-symbol lookup structures, which the
 // theta automata share: dense IDB-atom ids, symbols grouped by head atom,
@@ -100,8 +100,10 @@ class ThetaWordUnion {
     int index;
   };
 
+  // The Nfa state of (atom id, mask, pinned); `pinned` is copied only
+  // when the state is new.
   int Intern(std::size_t disjunct, std::uint32_t atom_id, std::uint64_t mask,
-             IrPinnedMap pinned);
+             const IrPinnedMap& pinned);
 
   const ProgramAlphabet& alphabet_;
   const LinearIrContext& ctx_;
@@ -110,11 +112,16 @@ class ThetaWordUnion {
   Nfa nfa_;
   std::vector<Disjunct> disjuncts_;
   std::vector<Owner> owners_;  // by Nfa state
+  // Expand's scratch, reused across calls: the expanded state's seed
+  // binding and its trail, and a successor's pinned images.
+  ir::DenseBinding binding_{0};
+  std::vector<std::int32_t> trail_;
+  IrPinnedMap next_pinned_;
   std::vector<int> row_;
 };
 
 int ThetaWordUnion::Intern(std::size_t disjunct, std::uint32_t atom_id,
-                           std::uint64_t mask, IrPinnedMap pinned) {
+                           std::uint64_t mask, const IrPinnedMap& pinned) {
   row_.clear();
   row_.push_back(static_cast<int>(atom_id));
   row_.push_back(static_cast<int>(static_cast<std::uint32_t>(mask)));
@@ -126,7 +133,7 @@ int ThetaWordUnion::Intern(std::size_t disjunct, std::uint32_t atom_id,
   Disjunct& d = disjuncts_[disjunct];
   auto [index, inserted] = d.keys.Intern(row_.data(), row_.size());
   if (inserted) {
-    d.states.push_back({atom_id, mask, std::move(pinned)});
+    d.states.push_back({atom_id, mask, pinned});
     d.ids.push_back(nfa_.AddState());
     owners_.push_back({disjunct, static_cast<int>(index)});
   }
@@ -169,8 +176,7 @@ void ThetaWordUnion::AddDisjunct(
         pinned.emplace_back(static_cast<std::int32_t>(v), head_image[v]);
       }
     }
-    nfa_.SetInitial(Intern(disjunct, atom_id, base.full_mask,
-                           std::move(pinned)));
+    nfa_.SetInitial(Intern(disjunct, atom_id, base.full_mask, pinned));
   }
 }
 
@@ -184,44 +190,49 @@ Status ThetaWordUnion::Expand(int state) {
         "linear theta automaton exceeded ", max_states_, " states")));
   }
   const QueryAnalysis& base = *d.query.base;
-  // Copy: `d.states` may reallocate while we intern successors.
-  const State from = d.states[owner.index];
-  for (int symbol : ctx_.labels_by_head[from.atom_id]) {
-    const ProgramAlphabet::LabelIr& label = alphabet_.label_ir[symbol];
+  // `d.states` may reallocate while successors are interned, so keep the
+  // state's atom and mask, and bind its pinned images once: every label's
+  // enumeration unwinds back to this seed.
+  const std::uint32_t atom_id = d.states[owner.index].atom_id;
+  const std::uint64_t mask = d.states[owner.index].mask;
+  binding_.image.assign(base.vars.size(), ir::TermId());
+  trail_.clear();
+  for (const auto& [v, term] : d.states[owner.index].pinned) {
+    bool ok = binding_.Bind(v, term, &trail_, nullptr);
+    DATALOG_CHECK(ok) << "inconsistent seed assignment";
+  }
+  const ir::IrSubstitution& images = binding_.image;
+  for (int symbol : ctx_.labels_by_head[atom_id]) {
     const int arity = alphabet_.arities[symbol];
-    EnumerateForwardAbsorptions(
-        d.query, from.mask, label.edb_atoms, from.pinned,
-        [&](std::uint64_t beta_prime, const ir::IrSubstitution& images) {
-          if (arity == 0) {
-            // Leaf: everything pending must be absorbed here.
-            if (beta_prime == from.mask) {
-              nfa_.AddTransition(state, symbol, d.accept);
-            }
-            return;
-          }
-          std::uint64_t next_mask = from.mask & ~beta_prime;
-          // Variables still relevant below: pending atoms contain them
-          // and their image is already determined.
-          const Bitset& child_vars = ctx_.child_visible[symbol];
-          IrPinnedMap next_pinned;
-          for (std::size_t v = 0; v < base.vars.size(); ++v) {
-            if ((base.atoms_of_var[v] & next_mask) == 0) continue;
-            if (!images[v].valid()) continue;
-            // Visibility (the paper's condition 4): the image must
-            // occur in the child goal to stay connected.
-            if (images[v].is_variable() &&
-                !child_vars.Test(images[v].index())) {
-              return;  // this absorption cannot continue downward
-            }
-            next_pinned.emplace_back(static_cast<std::int32_t>(v),
-                                     images[v]);
-          }
-          int next = Intern(
-              owner.disjunct,
-              static_cast<std::uint32_t>(ctx_.child_atom_id[symbol]),
-              next_mask, std::move(next_pinned));
-          nfa_.AddTransition(state, symbol, next);
-        });
+    auto visit = [&](std::uint64_t beta_prime) {
+      if (arity == 0) {
+        // Leaf: everything pending must be absorbed here.
+        if (beta_prime == mask) nfa_.AddTransition(state, symbol, d.accept);
+        return;
+      }
+      std::uint64_t next_mask = mask & ~beta_prime;
+      // Variables still relevant below: pending atoms contain them and
+      // their image is already determined.
+      const Bitset& child_vars = ctx_.child_visible[symbol];
+      next_pinned_.clear();
+      for (std::size_t v = 0; v < base.vars.size(); ++v) {
+        if ((base.atoms_of_var[v] & next_mask) == 0) continue;
+        if (!images[v].valid()) continue;
+        // Visibility (the paper's condition 4): the image must occur in
+        // the child goal to stay connected.
+        if (images[v].is_variable() && !child_vars.Test(images[v].index())) {
+          return;  // this absorption cannot continue downward
+        }
+        next_pinned_.emplace_back(static_cast<std::int32_t>(v), images[v]);
+      }
+      int next =
+          Intern(owner.disjunct,
+                 static_cast<std::uint32_t>(ctx_.child_atom_id[symbol]),
+                 next_mask, next_pinned_);
+      nfa_.AddTransition(state, symbol, next);
+    };
+    IrEnumerateAbsorptions(d.query, mask, alphabet_.label_ir[symbol].edb_atoms,
+                           &binding_, &trail_, 0, 0, nullptr, visit);
   }
   return OkStatus();
 }

@@ -8,9 +8,33 @@
 #include "src/engine/database.h"
 #include "src/engine/eval.h"
 #include "src/ir/ir.h"
+#include "src/util/strings.h"
 
 namespace datalog {
 namespace {
+
+// The auxiliary relation that puts the frozen head constants into the
+// canonical instance's active domain. The parser reads `__domain` as a
+// variable and the corpus reader refuses it as a predicate name, so only
+// a program or union built in code can name it. Those are refused here
+// rather than evaluated over the auxiliary rows.
+constexpr char kDomainRelation[] = "__domain";
+
+Status CheckNoReservedRelation(const Program& program,
+                               const ir::ProgramIr& theta_ir) {
+  bool named = theta_ir.predicates().Find(kDomainRelation) !=
+               ir::NameDictionary::kNotFound;
+  for (const Rule& rule : program.rules()) {
+    named = named || rule.head().predicate() == kDomainRelation;
+    for (const Atom& atom : rule.body()) {
+      named = named || atom.predicate() == kDomainRelation;
+    }
+  }
+  if (!named) return OkStatus();
+  return InvalidArgumentError(
+      StrCat("predicate name ", kDomainRelation,
+             " is reserved for the canonical database's domain relation"));
+}
 
 // Freezes disjunct `index` of `theta_ir` into a fresh database, records
 // the goal tuple's constants in the auxiliary domain relation (every
@@ -25,23 +49,18 @@ StatusOr<bool> IsDisjunctContained(const ir::ProgramIr& theta_ir,
                                    CanonicalDbWitness* witness) {
   Database db;
   Tuple goal_tuple = FreezeDisjunctIntoDatabase(theta_ir, index, &db);
-  PredicateId domain = db.InternPredicate("__domain", 1);
-  const std::size_t frozen_domain_rows = db.RelationOf(domain).size();
+  PredicateId domain = db.InternPredicate(kDomainRelation, 1);
   for (int id : goal_tuple) db.AddTupleById(domain, {id});
   StatusOr<Relation> result = EvaluateGoal(program, goal, db, eval, stats);
   if (!result.ok()) return result.status();
   if (result->Contains(goal_tuple)) return true;
   if (witness != nullptr) {
-    // EvaluateGoal does not mutate `db`, so only the __domain rows added
-    // above are cut. AllFactAtoms lists relations in id order: the added
-    // rows follow every earlier relation's and the frozen __domain rows,
-    // which exist when a decoded corpus names a body predicate __domain
-    // (the parser cannot).
+    // EvaluateGoal does not mutate `db`, and AllFactAtoms lists relations
+    // in id order, so the domain relation, interned after the frozen
+    // body, holds the last rows: cut them.
     witness->facts = db.AllFactAtoms();
-    auto added = witness->facts.begin() + frozen_domain_rows;
-    for (PredicateId p = 0; p < domain; ++p) added += db.RelationOf(p).size();
-    witness->facts.erase(
-        added, added + (db.RelationOf(domain).size() - frozen_domain_rows));
+    witness->facts.resize(witness->facts.size() -
+                          db.RelationOf(domain).size());
     std::vector<Term> goal_args;
     goal_args.reserve(goal_tuple.size());
     for (int id : goal_tuple) {
@@ -60,8 +79,10 @@ StatusOr<bool> IsUcqDisjunctContainedInDatalog(
     const CanonicalDbOptions& options) {
   const std::optional<Program> pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
-  return IsDisjunctContained(*ir::CarriedIr(theta), disjunct, prog, goal,
-                             stats, options.eval, options.witness);
+  const std::shared_ptr<ir::ProgramIr> theta_ir = ir::CarriedIr(theta);
+  DATALOG_RETURN_IF_ERROR(CheckNoReservedRelation(program, *theta_ir));
+  return IsDisjunctContained(*theta_ir, disjunct, prog, goal, stats,
+                             options.eval, options.witness);
 }
 
 StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
@@ -73,6 +94,7 @@ StatusOr<bool> IsUcqContainedInDatalog(const UnionOfCqs& theta,
   const std::optional<Program> pruned = PruneForEvaluation(program, goal);
   const Program& prog = pruned.has_value() ? *pruned : program;
   const std::shared_ptr<ir::ProgramIr> theta_ir = ir::CarriedIr(theta);
+  DATALOG_RETURN_IF_ERROR(CheckNoReservedRelation(program, *theta_ir));
   for (std::size_t i = 0; i < theta.disjuncts().size(); ++i) {
     StatusOr<bool> contained = IsDisjunctContained(
         *theta_ir, i, prog, goal, stats, options.eval, options.witness);

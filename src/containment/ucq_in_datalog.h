@@ -57,6 +57,11 @@ struct CanonicalDbOptions {
 /// (src/analysis/reachability.h): the guard declines to prune exactly
 /// when removing a rule's constants could change an unsafe retained
 /// rule's enumeration, so pruning never changes a verdict.
+///
+/// Both entries fail with InvalidArgument when the program or Θ names a
+/// predicate `__domain`: that name is reserved for the auxiliary relation
+/// the check adds to every canonical database. The parser and the corpus
+/// reader cannot produce it as a predicate name.
 StatusOr<bool> IsUcqDisjunctContainedInDatalog(
     const UnionOfCqs& theta, std::size_t disjunct, const Program& program,
     const std::string& goal, EvalStats* stats = nullptr,

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/ast/parser.h"
 #include "src/util/strings.h"
 
 namespace datalog {
@@ -114,6 +115,18 @@ Status NameIdOutOfRange(const char* what, std::uint32_t id,
                                      " names) at offset ", offset));
 }
 
+// A predicate (or goal) name must be one the parser reads as a predicate,
+// so a decoded instance can name nothing a parsed one cannot — in
+// particular no auxiliary relation such as the canonical-database check's
+// `__domain`.
+Status CheckPredicateName(const char* what, const std::string& name,
+                          std::size_t offset) {
+  if (IsPredicateName(name)) return OkStatus();
+  return InvalidArgumentError(StrCat("corpus: ", what, " name '", name,
+                                     "' is not a predicate name the parser "
+                                     "reads, at offset ", offset));
+}
+
 // Walks one term span; decodes into `*decode` when non-null.
 Status WalkTerm(Cursor* cursor, std::uint32_t name_count,
                 const std::vector<std::string>* names, Term* decode) {
@@ -132,8 +145,9 @@ Status WalkTerm(Cursor* cursor, std::uint32_t name_count,
   return OkStatus();
 }
 
-// Walks one atom span, checking name ids against `name_count`. Used by
-// both the validation pass (decode == nullptr) and Decode.
+// Walks one atom span, checking name ids against `name_count` and the
+// predicate's name. Used by both the validation pass (decode == nullptr)
+// and Decode.
 Status WalkAtom(Cursor* cursor, std::uint32_t name_count,
                 const std::vector<std::string>* names, Atom* decode) {
   std::uint32_t predicate = 0;
@@ -144,6 +158,9 @@ Status WalkAtom(Cursor* cursor, std::uint32_t name_count,
     return NameIdOutOfRange("predicate", predicate, name_count,
                             cursor->offset());
   }
+  status = CheckPredicateName("predicate", (*names)[predicate],
+                              cursor->offset());
+  if (!status.ok()) return status;
   status = cursor->ReadU32(&arity);
   if (!status.ok()) return status;
   status = CheckBound("arity", arity, kMaxArity, cursor->offset());
@@ -163,8 +180,9 @@ Status WalkAtom(Cursor* cursor, std::uint32_t name_count,
   return OkStatus();
 }
 
-// Walks one instance record. With `decode` null this is the structural
-// validation pass; with `decode` set it rebuilds the instance.
+// Walks one instance record over the dictionary `names`. With `decode`
+// null this is the structural validation pass; with `decode` set it
+// rebuilds the instance.
 Status WalkInstance(Cursor* cursor, std::uint32_t name_count,
                     const std::vector<std::string>* names,
                     CorpusInstance* decode) {
@@ -180,6 +198,8 @@ Status WalkInstance(Cursor* cursor, std::uint32_t name_count,
   if (goal >= name_count) {
     return NameIdOutOfRange("goal", goal, name_count, cursor->offset());
   }
+  status = CheckPredicateName("goal", (*names)[goal], cursor->offset());
+  if (!status.ok()) return status;
   if (decode != nullptr) {
     decode->id = id;
     decode->flags = flags;
@@ -416,7 +436,7 @@ StatusOr<CorpusReader> CorpusReader::FromBytes(std::string bytes,
   reader.offsets_.reserve(instance_count);
   for (std::uint64_t i = 0; i < instance_count; ++i) {
     reader.offsets_.push_back(cursor.offset());
-    status = WalkInstance(&cursor, name_count, nullptr, nullptr);
+    status = WalkInstance(&cursor, name_count, &reader.names_, nullptr);
     if (!status.ok()) {
       return InvalidArgumentError(StrCat("corpus: instance record ", i, ": ",
                                          status.message()));

@@ -33,6 +33,10 @@
 //
 // Atom span: u32 predicate name id, u32 arity, arity x term.
 // Term: u32 with bit 0 the variable tag — (name_id << 1) | is_variable.
+// Every predicate and goal name must be one the parser reads as a
+// predicate (IsPredicateName, src/ast/parser.h); the reader refuses any
+// other, so no instance can name an auxiliary relation such as
+// `__domain`.
 //
 // The dictionary is written in first-use order, which is itself a
 // function of instance order, so round-tripping a file through

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 namespace datalog {
 
@@ -203,8 +204,11 @@ inline bool FoldMaySubset(std::uint64_t fold_a, std::uint64_t fold_b) {
 }  // namespace
 
 bool AntichainStore::Dominated(const Bitset& set) const {
-  const std::uint64_t fold = set.Fold();
-  const std::size_t count = set.Count();
+  return Dominated(set, set.Fold(), set.Count());
+}
+
+bool AntichainStore::Dominated(const Bitset& set, std::uint64_t fold,
+                               std::size_t count) const {
   if (mode_ == Mode::kExact) {
     if (count >= buckets_.size()) return false;
     for (const Entry& entry : buckets_[count]) {
@@ -249,11 +253,22 @@ bool AntichainStore::Dominated(const Bitset& set) const {
   return false;
 }
 
-bool AntichainStore::Insert(Bitset set, std::uint64_t payload,
+bool AntichainStore::Insert(const Bitset& set, std::uint64_t payload,
                             std::vector<std::uint64_t>* pruned) {
-  if (Dominated(set)) return false;
+  return InsertImpl(set, payload, pruned);
+}
+
+bool AntichainStore::Insert(Bitset&& set, std::uint64_t payload,
+                            std::vector<std::uint64_t>* pruned) {
+  return InsertImpl(std::move(set), payload, pruned);
+}
+
+template <typename Set>
+bool AntichainStore::InsertImpl(Set&& set, std::uint64_t payload,
+                                std::vector<std::uint64_t>* pruned) {
   const std::uint64_t fold = set.Fold();
   const std::size_t count = set.Count();
+  if (Dominated(set, fold, count)) return false;
   if (mode_ != Mode::kExact) {
     // Remove every stored set the candidate dominates. kKeepMinimal
     // prunes supersets (popcount >= count); kKeepMaximal prunes subsets.
@@ -291,7 +306,7 @@ bool AntichainStore::Insert(Bitset set, std::uint64_t payload,
     }
   }
   if (count >= buckets_.size()) buckets_.resize(count + 1);
-  buckets_[count].push_back(Entry{std::move(set), payload, fold});
+  buckets_[count].push_back(Entry{std::forward<Set>(set), payload, fold});
   ++size_;
   return true;
 }

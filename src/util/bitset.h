@@ -181,8 +181,12 @@ class AntichainStore {
   /// Inserts `set` unless dominated. Returns false (store unchanged)
   /// when a stored set dominates it; otherwise removes every stored set
   /// the candidate dominates — appending their payloads to `pruned` when
-  /// non-null — stores (set, payload), and returns true.
-  bool Insert(Bitset set, std::uint64_t payload,
+  /// non-null — stores (set, payload), and returns true. The set is
+  /// copied (or, passed as an rvalue, moved) only when it is stored, so a
+  /// rejected candidate costs no allocation.
+  bool Insert(const Bitset& set, std::uint64_t payload,
+              std::vector<std::uint64_t>* pruned = nullptr);
+  bool Insert(Bitset&& set, std::uint64_t payload,
               std::vector<std::uint64_t>* pruned = nullptr);
 
   /// Calls fn(set, payload) for every stored entry (bucket order).
@@ -199,6 +203,14 @@ class AntichainStore {
     std::uint64_t payload = 0;
     std::uint64_t fold = 0;
   };
+
+  // Dominated, given the candidate's fold and popcount.
+  bool Dominated(const Bitset& set, std::uint64_t fold,
+                 std::size_t count) const;
+  // Both Inserts: `Set` is const Bitset& or Bitset.
+  template <typename Set>
+  bool InsertImpl(Set&& set, std::uint64_t payload,
+                  std::vector<std::uint64_t>* pruned);
 
   Mode mode_ = Mode::kKeepMinimal;
   std::vector<std::vector<Entry>> buckets_;  // indexed by popcount

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "src/ast/parser.h"
 #include "src/containment/equivalence.h"
 #include "src/containment/ucq_in_datalog.h"
 #include "src/corpus/naive.h"
@@ -121,13 +122,10 @@ TEST(CanonicalDbBridgeTest, ContainmentVerdictsMatchNaiveFixpoint) {
   theta.Add(MustParseCq("p(X, Y) :- e(X, Y), f(Y)."));
   theta.Add(MustParseCq("p(X, Y) :- g(X, Y)."));  // not contained
   theta.Add(MustParseCq("p(X, X) :- e(X, X)."));
-  // A body atom over the engine's auxiliary __domain relation (a name a
-  // decoded corpus can carry): the witness keeps it and drops only the
-  // row the engine adds there for the head-only Y.
-  theta.Add(ConjunctiveQuery(
-      {Term::Variable("X"), Term::Variable("Y")},
-      {Atom("__domain", {Term::Variable("X")}),
-       Atom("g", {Term::Variable("X"), Term::Variable("X")})}));
+  // A head-only Y, next to a body predicate that looks like the check's
+  // auxiliary relation: the witness keeps domain(@X) and drops only the
+  // auxiliary rows the check adds for the head constants.
+  theta.Add(MustParseCq("p(X, Y) :- domain(X), g(X, X)."));
   std::size_t first_failing = theta.size();
   CanonicalDbWitness first_failing_witness;
   for (std::size_t i = 0; i < theta.size(); ++i) {
@@ -179,6 +177,44 @@ TEST(CanonicalDbBridgeTest, ContainmentVerdictsMatchNaiveFixpoint) {
   EXPECT_TRUE(*contained);
   EXPECT_TRUE(sentinel.facts.empty());
   EXPECT_EQ(sentinel.goal_atom, MustParseAtom("sentinel(a)"));
+}
+
+// `__domain` names the auxiliary relation the check adds to every
+// canonical database. The parser reads it as a variable and the corpus
+// reader refuses it as a predicate; a union or program built in code that
+// names it is refused too, by both entries, instead of being evaluated
+// over the auxiliary rows.
+TEST(CanonicalDbBridgeTest, ReservedDomainRelationIsRefused) {
+  EXPECT_FALSE(ParseRule("p(X, Y) :- __domain(X), g(X, X).").ok());
+  Program tc = TransitiveClosureProgram("e", "e");
+  UnionOfCqs theta = PathQueries(2);
+  theta.Add(ConjunctiveQuery(
+      {Term::Variable("X"), Term::Variable("Y")},
+      {Atom("__domain", {Term::Variable("X")}),
+       Atom("g", {Term::Variable("X"), Term::Variable("X")})}));
+  Program reads_domain = tc;
+  reads_domain.AddRule(Rule(
+      Atom("p", {Term::Variable("X"), Term::Variable("X")}),
+      {Atom("__domain", {Term::Variable("X")})}));
+  auto expect_refused = [](const StatusOr<bool>& result) {
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("predicate name __domain is "
+                                             "reserved"),
+              std::string::npos)
+        << result.status();
+  };
+  expect_refused(IsUcqContainedInDatalog(theta, tc, "p"));
+  expect_refused(IsUcqDisjunctContainedInDatalog(theta, 2, tc, "p"));
+  // Refused even for a disjunct that does not name it: the union does.
+  expect_refused(IsUcqDisjunctContainedInDatalog(theta, 0, tc, "p"));
+  expect_refused(IsUcqContainedInDatalog(PathQueries(2), reads_domain, "p"));
+  expect_refused(
+      IsUcqDisjunctContainedInDatalog(PathQueries(2), 0, reads_domain, "p"));
+  // Without the reserved name the same shapes are decided.
+  StatusOr<bool> plain = IsUcqContainedInDatalog(PathQueries(2), tc, "p");
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_TRUE(*plain);
 }
 
 TEST(CanonicalDbBridgeTest, DisjunctLevelCallReusesCarriedUnionIr) {

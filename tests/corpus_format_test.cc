@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/corpus/generate.h"
+#include "src/util/strings.h"
 #include "tests/test_util.h"
 
 namespace datalog {
@@ -58,9 +59,10 @@ void ExpectRoundTripBitIdentical(const std::vector<CorpusInstance>& instances) {
 }
 
 // A structurally diverse hand-built batch: empty program, empty theta,
-// 0-ary atoms, constants, and dictionary-hostile spellings ('@' and '$'
-// prefixed names are meaningful elsewhere in the repo and must survive
-// as raw bytes here).
+// 0-ary atoms, constants, and dictionary-hostile term spellings ('@' and
+// '$' prefixed names are meaningful elsewhere in the repo and must
+// survive as raw bytes here; predicate names must be ones the parser
+// reads, see PredicateNamesMustParse).
 std::vector<CorpusInstance> HandBuiltInstances() {
   std::vector<CorpusInstance> instances;
 
@@ -80,8 +82,8 @@ std::vector<CorpusInstance> HandBuiltInstances() {
   odd.id = 0xffffffffffull;
   odd.flags = kFlagInvalid;
   odd.program.AddRule(
-      Rule(Atom("w", {}), {Atom("@frozen", {Term::Constant("@v0")}),
-                           Atom("$sym", {Term::Variable("$1")})}));
+      Rule(Atom("w", {}), {Atom("frozen", {Term::Constant("@v0")}),
+                           Atom("sym_1", {Term::Variable("$1")})}));
   odd.goal = "w";
   instances.push_back(odd);  // empty theta
 
@@ -99,9 +101,16 @@ std::vector<CorpusInstance> HandBuiltInstances() {
 std::vector<CorpusInstance> RandomInstances(std::uint64_t seed,
                                             std::size_t count) {
   std::mt19937_64 rng(seed);
+  // Term names may be anything; predicate names share the dictionary with
+  // them but must be ones the parser reads.
   const std::vector<std::string> names = {"p", "q",  "e",     "edge",
                                           "a", "@c", "weird", "x$y"};
+  const std::vector<std::string> predicates = {"p", "q", "e", "edge",
+                                               "a", "weird"};
   auto pick_name = [&]() { return names[rng() % names.size()]; };
+  auto pick_predicate = [&]() {
+    return predicates[rng() % predicates.size()];
+  };
   auto random_term = [&]() {
     return rng() % 2 == 0 ? Term::Variable(pick_name())
                           : Term::Constant(pick_name());
@@ -111,7 +120,7 @@ std::vector<CorpusInstance> RandomInstances(std::uint64_t seed,
     std::size_t arity = rng() % 4;
     args.reserve(arity);
     for (std::size_t i = 0; i < arity; ++i) args.push_back(random_term());
-    return Atom(pick_name(), std::move(args));
+    return Atom(pick_predicate(), std::move(args));
   };
 
   std::vector<CorpusInstance> instances;
@@ -120,7 +129,7 @@ std::vector<CorpusInstance> RandomInstances(std::uint64_t seed,
     CorpusInstance instance;
     instance.id = rng();
     instance.flags = static_cast<std::uint32_t>(rng() & 0x3fu);
-    instance.goal = pick_name();
+    instance.goal = pick_predicate();
     std::size_t num_rules = rng() % 4;
     for (std::size_t r = 0; r < num_rules; ++r) {
       std::vector<Atom> body;
@@ -265,6 +274,79 @@ TEST(CorpusFormatTest, CorruptionsRejectedWithDiagnostics) {
     ASSERT_FALSE(reader.ok());
     EXPECT_NE(reader.status().message().find("corpus:"), std::string::npos)
         << reader.status();
+  }
+}
+
+// A corpus encoded by hand, byte by byte: one instance whose body atom
+// names the predicate `name`, or whose goal is `name`.
+std::string HandEncodedCorpus(const std::string& name, bool as_goal) {
+  std::string bytes;
+  auto u32 = [&](std::uint32_t v) {
+    for (int shift = 0; shift < 32; shift += 8) {
+      bytes.push_back(static_cast<char>((v >> shift) & 0xffu));
+    }
+  };
+  auto u64 = [&](std::uint64_t v) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      bytes.push_back(static_cast<char>((v >> shift) & 0xffu));
+    }
+  };
+  u32(kCorpusMagic);
+  u32(kCorpusVersion);
+  u64(1);  // instances
+  // Dictionary: 0 "p", 1 `name`, 2 "X".
+  const std::vector<std::string> names = {"p", name, "X"};
+  u32(static_cast<std::uint32_t>(names.size()));
+  u32(0);  // reserved
+  for (const std::string& n : names) {
+    u32(static_cast<std::uint32_t>(n.size()));
+    bytes += n;
+  }
+  // The instance: p(X) :- name(X), goal p (or `name`), no disjuncts.
+  const std::uint32_t var_x = (2u << 1) | 1u;
+  u64(42);               // id
+  u32(0);                // flags
+  u32(as_goal ? 1 : 0);  // goal
+  u32(1);                // rules
+  u32(1);                // body count
+  u32(0);                // head: p, arity 1, X
+  u32(1);
+  u32(var_x);
+  u32(as_goal ? 0 : 1);  // body atom: `name` (or p), arity 1, X
+  u32(1);
+  u32(var_x);
+  u32(0);  // disjuncts
+  u64(Fnv1a64(bytes));
+  return bytes;
+}
+
+// Predicate and goal names must be ones the parser reads as predicates,
+// so a decoded instance cannot name an auxiliary relation such as the
+// canonical-database check's `__domain`, which the parser reads as a
+// variable. The same bytes with a parser-readable name decode.
+TEST(CorpusFormatTest, PredicateNamesMustParse) {
+  StatusOr<CorpusReader> good =
+      CorpusReader::FromBytes(HandEncodedCorpus("domain", false));
+  ASSERT_TRUE(good.ok()) << good.status();
+  StatusOr<CorpusInstance> decoded = good->Decode(0);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->program.ToString(), "p(X) :- domain(X).");
+  EXPECT_EQ(decoded->goal, "p");
+
+  for (bool as_goal : {false, true}) {
+    for (const std::string& name :
+         {std::string("__domain"), std::string("Edge"), std::string("@e"),
+          std::string("e-f"), std::string("")}) {
+      StatusOr<CorpusReader> reader =
+          CorpusReader::FromBytes(HandEncodedCorpus(name, as_goal));
+      ASSERT_FALSE(reader.ok()) << "'" << name << "' accepted";
+      EXPECT_EQ(reader.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(reader.status().message().find(
+                    StrCat(as_goal ? "goal" : "predicate", " name '", name,
+                           "' is not a predicate name")),
+                std::string::npos)
+          << reader.status();
+    }
   }
 }
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <random>
 #include <tuple>
 #include <vector>
 
 #include "src/automata/nfa.h"
+#include "src/util/bitset.h"
 
 namespace datalog {
 namespace {
@@ -442,6 +444,150 @@ TEST(NfaTest, OnDemandExpansionFailureEndsSearch) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(calls, 2);
+}
+
+// The containment search as it ran when the antichain was filled at pop
+// time: a successor is queued unless a pair explored so far dominates it,
+// and Insert runs when the pair is popped, dropping it if a pair
+// explored in the meantime dominates it. Words are kept whole per item
+// and subsets are stepped member by member, so it shares no code with
+// Contains. `expand`, when set, runs on each unseen member of a popped
+// subset, in ascending order, before that subset is stepped.
+StatusOr<Nfa::ContainmentResult> PopTimeReferenceContains(
+    const Nfa& a, const Nfa& b, bool antichain,
+    const Nfa::Expander& expand) {
+  struct Item {
+    int state;
+    Bitset set;
+    std::vector<int> word;
+  };
+  Nfa::ContainmentResult result;
+  std::vector<AntichainStore> visited(
+      a.num_states(), AntichainStore(antichain
+                                         ? AntichainStore::Mode::kKeepMinimal
+                                         : AntichainStore::Mode::kExact));
+  std::vector<bool> expanded;
+  Bitset start(b.num_states());
+  for (std::size_t s = 0; s < b.num_states(); ++s) {
+    if (b.IsInitial(static_cast<int>(s))) start.Set(s);
+  }
+  std::deque<Item> queue;
+  for (std::size_t s = 0; s < a.num_states(); ++s) {
+    if (a.IsInitial(static_cast<int>(s))) {
+      queue.push_back({static_cast<int>(s), start, {}});
+    }
+  }
+  while (!queue.empty()) {
+    Item item = std::move(queue.front());
+    queue.pop_front();
+    if (!visited[item.state].Insert(item.set, 0)) continue;
+    ++result.explored;
+    bool meets_accepting = false;
+    item.set.ForEachSetBit([&](std::size_t s) {
+      if (b.IsAccepting(static_cast<int>(s))) meets_accepting = true;
+    });
+    if (a.IsAccepting(item.state) && !meets_accepting) {
+      result.contained = false;
+      result.counterexample = item.word;
+      return result;
+    }
+    const std::vector<Nfa::Edge>& edges = a.Edges(item.state);
+    if (edges.empty()) continue;
+    if (expand) {
+      for (std::size_t s : item.set.ToVector()) {
+        if (s >= expanded.size()) expanded.resize(s + 1, false);
+        if (expanded[s]) continue;
+        expanded[s] = true;
+        Status status = expand(static_cast<int>(s));
+        if (!status.ok()) return status;
+      }
+    }
+    for (std::size_t i = 0; i < edges.size();) {
+      const int symbol = edges[i].symbol;
+      Bitset next(b.num_states());
+      item.set.ForEachSetBit([&](std::size_t s) {
+        for (const Nfa::Edge& e : b.Edges(static_cast<int>(s))) {
+          if (e.symbol == symbol) next.Set(static_cast<std::size_t>(e.target));
+        }
+      });
+      for (; i < edges.size() && edges[i].symbol == symbol; ++i) {
+        if (visited[edges[i].target].Dominated(next)) continue;
+        std::vector<int> word = item.word;
+        word.push_back(symbol);
+        queue.push_back({edges[i].target, next, std::move(word)});
+      }
+    }
+  }
+  return result;
+}
+
+// Contains fills its antichain when a pair is queued; the pop-time
+// reference must see the same search: verdict, explored pairs,
+// counterexample and, with an on-demand right-hand side, the same
+// expander calls in the same order. Both modes, eager and on demand.
+TEST(NfaTest, QueueTimeAntichainMatchesPopTimeReference) {
+  std::mt19937_64 rng(2718);
+  int contained = 0;
+  int refuted = 0;
+  int pruned_runs = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int symbols = 1 + static_cast<int>(rng() % 3);
+    const int a_states = 2 + static_cast<int>(rng() % 7);
+    const int b_states = 2 + static_cast<int>(rng() % 11);
+    Nfa a = RandomNfa(rng, a_states, symbols, 0.3);
+    Nfa b = RandomNfa(rng, b_states, symbols, 0.3);
+    if (rng() % 2 == 0) a.SetInitial(a_states - 1);
+    if (rng() % 2 == 0) b.SetInitial(b_states - 1);
+    for (bool antichain : {true, false}) {
+      Nfa::ContainmentOptions options;
+      options.antichain = antichain;
+      auto eager = Nfa::Contains(a, b, options);
+      auto reference = PopTimeReferenceContains(a, b, antichain, nullptr);
+      ASSERT_TRUE(eager.ok() && reference.ok()) << "trial " << trial;
+      EXPECT_EQ(eager->contained, reference->contained) << "trial " << trial;
+      EXPECT_EQ(eager->explored, reference->explored) << "trial " << trial;
+      EXPECT_EQ(eager->counterexample, reference->counterexample)
+          << "trial " << trial;
+
+      OnDemandCopy lazy(b);
+      OnDemandCopy lazy_reference(b);
+      std::vector<int> calls;
+      std::vector<int> reference_calls;
+      auto on_demand =
+          Nfa::Contains(a, lazy.nfa(), options, [&](int s) {
+            calls.push_back(s);
+            return lazy.Expand(s);
+          });
+      auto on_demand_reference = PopTimeReferenceContains(
+          a, lazy_reference.nfa(), antichain, [&](int s) {
+            reference_calls.push_back(s);
+            return lazy_reference.Expand(s);
+          });
+      ASSERT_TRUE(on_demand.ok() && on_demand_reference.ok())
+          << "trial " << trial;
+      EXPECT_EQ(on_demand->contained, on_demand_reference->contained)
+          << "trial " << trial;
+      EXPECT_EQ(on_demand->explored, on_demand_reference->explored)
+          << "trial " << trial;
+      EXPECT_EQ(on_demand->counterexample,
+                on_demand_reference->counterexample)
+          << "trial " << trial;
+      EXPECT_EQ(calls, reference_calls) << "trial " << trial;
+      if (antichain) {
+        ++(eager->contained ? contained : refuted);
+        Nfa::ContainmentOptions exact = options;
+        exact.antichain = false;
+        auto without = Nfa::Contains(a, b, exact);
+        ASSERT_TRUE(without.ok());
+        if (without->explored > eager->explored) ++pruned_runs;
+      }
+    }
+  }
+  EXPECT_GE(contained, 20);
+  EXPECT_GE(refuted, 20);
+  // Domination must actually prune in a good share of the trials, or the
+  // queue-time and pop-time fillings are not told apart.
+  EXPECT_GE(pruned_runs, 20);
 }
 
 }  // namespace
